@@ -62,16 +62,6 @@ class AdaptationEvent:
         }
 
 
-def _assoc_pairs(archive: ReferenceArchive, position: int, assoc: np.ndarray):
-    """Map flat association indices of layers[position] to (layer, row)."""
-    sizes = np.array([len(layer) for layer in archive.layers[:position]])
-    bounds = np.cumsum(sizes)
-    layer_idx = np.searchsorted(bounds, assoc, side="right")
-    starts = bounds - sizes
-    row_idx = assoc - starts[layer_idx]
-    return layer_idx, row_idx
-
-
 def adapt(
     archive: ReferenceArchive,
     active,
@@ -91,7 +81,12 @@ def adapt(
     _, layer_idx, row_idx = archive.participating()
     if len(active) and (active.min() < 0 or active.max() >= len(layer_idx)):
         raise ValueError("active indices outside the participating set")
-    active_pairs = set(zip(layer_idx[active].tolist(), row_idx[active].tolist()))
+    # activity over the stacked live layers, the index space of a new
+    # layer's ``assoc``
+    sizes = [len(layer) for layer in archive.live_layers()]
+    starts = np.cumsum([0] + sizes)
+    is_active = np.zeros(starts[-1], dtype=bool)
+    is_active[starts[layer_idx[active]] + row_idx[active]] = True
     n_active = len(active)
     low = (1.0 - params.theta) * params.n
     high = (1.0 + params.theta) * params.n
@@ -120,11 +115,7 @@ def adapt(
             else:
                 layer = archive.new_layer()
                 archive.layers.append(layer)
-            tgt_layer, tgt_row = _assoc_pairs(archive, position, layer.assoc)
-            layer.enabled = np.array(
-                [(int(l), int(r)) in active_pairs for l, r in zip(tgt_layer, tgt_row)],
-                dtype=bool,
-            )
+            layer.enabled = is_active[layer.assoc]
             archive.live_count += 1
             kind = "shrink"
 
@@ -135,19 +126,15 @@ def adapt(
             log.debug("expand requested with only the base layer live; skipped")
         else:
             top_pos = archive.live_count - 1
-            top = archive.layers[top_pos]
-            active_top = np.zeros(len(top), dtype=bool)
-            for li, row in active_pairs:
-                if li == top_pos:
-                    active_top[row] = True
-            top_dirs = top.directions
+            active_top = is_active[starts[top_pos]:]
+            top_dirs = archive.layers[top_pos].directions
             for li in range(top_pos):
                 lower_layer = archive.layers[li]
                 back = associate(lower_layer.directions, top_dirs)
                 lower_layer.enabled |= active_top[back]
             archive.live_count -= 1
             kind = "expand"
-            active_after = sum(1 for li, _ in active_pairs if li < top_pos)
+            active_after = int(is_active[: starts[top_pos]].sum())
 
     directions = archive.participating()[0]
     event = AdaptationEvent(

@@ -21,14 +21,6 @@ class IndividualArchive:
     def __len__(self) -> int:
         return len(self.objectives)
 
-    def to_csv(self, path) -> None:
-        """Dump archived objective vectors, one row per member."""
-        m = self.objectives.shape[1]
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(f"f{i + 1}" for i in range(m)) + "\n")
-            for row in self.objectives:
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
 
 def maintain(ia: IndividualArchive, solutions, objectives) -> IndividualArchive:
     """Replace the archive with the centers of the latest selection pass.

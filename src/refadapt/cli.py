@@ -13,8 +13,10 @@ import logging
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .adaptation import AdaptationParams
-from .reference import ReferenceArchive, simplex_lattice
+from .reference import ReferenceArchive, ReferenceLayer, simplex_lattice
 from .runner import ConfigError, RunConfig, experiment
 from .simulate import load_scenarios, permutation_similarity, run_scenario
 from .variation import VariationParams
@@ -128,7 +130,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_simulate(args) -> int:
     scenarios = load_scenarios(args.scenarios)
-    params = AdaptationParams(n=args.n, theta=args.theta, w=args.w)
+    params = AdaptationParams(n=args.n, theta=args.theta)
     report: dict = {"n": args.n, "theta": args.theta, "scenarios": []}
     for scenario in scenarios:
         archive = ReferenceArchive.initialize(2, args.n)
@@ -156,17 +158,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_lattice(args) -> int:
     coords = simplex_lattice(args.m, args.h)
-    print(json.dumps(
-        {
-            "M": args.m,
-            "layers": [{
-                "H": args.h,
-                "coords": coords.tolist(),
-                "enabled": [True] * len(coords),
-            }],
-        },
-        indent=2, sort_keys=True,
-    ))
+    layer = ReferenceLayer(args.h, coords, np.ones(len(coords), dtype=bool))
+    print(json.dumps(ReferenceArchive(args.m, [layer]).to_json_dict(), indent=2, sort_keys=True))
     return 0
 
 
@@ -201,7 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--scenarios", required=True, help="scenario JSON file")
     p_sim.add_argument("--n", type=int, required=True, help="target active count")
     p_sim.add_argument("--theta", type=float, default=0.2)
-    p_sim.add_argument("--w", type=int, default=20)
     p_sim.add_argument("--permutations", action="store_true",
                        help="run the order-insensitivity study over all scenario orders")
     p_sim.add_argument("--carry-over", dest="carry_over", action="store_true",

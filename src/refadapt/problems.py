@@ -38,7 +38,7 @@ class ProblemSpec:
         X = np.atleast_2d(x)
         if X.shape[1] != self.d:
             raise ValueError(f"{self.name} expects {self.d} variables, got {X.shape[1]}")
-        if np.any(X < self.lower) or np.any(X > self.upper):
+        if not np.all((X >= self.lower) & (X <= self.upper)):
             raise ValueError(f"solution outside the box bounds of {self.name}")
         F = self._evaluate(X)
         return F[0] if single else F

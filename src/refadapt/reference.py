@@ -74,8 +74,10 @@ class ReferenceLayer:
 
     ``assoc`` maps each vector to its angularly nearest vector among the
     stacked vectors of all lower layers (stack order, rows concatenated);
-    it is empty for the base layer. ``enabled`` marks the vectors that
-    participate in selection.
+    it is empty for the base layer. Layers are only appended above it and
+    it is enabled only at ``live_count`` equal to its position, so this
+    index space is the stacked live layers whenever the layer is enabled.
+    ``enabled`` marks the vectors that participate in selection.
     """
 
     h: int

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import logging
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -56,7 +56,6 @@ class RunConfig:
     out_dir: str | None = None
     use_ia: bool = True                  # --no-ia disables the individual archive
     adapt_refs: bool = True              # --fixed-z freezes the base reference set
-    density_cap_factor: int = 64
 
     def resolve_problem(self) -> ProblemSpec:
         try:
@@ -79,13 +78,13 @@ class RunConfig:
             raise ConfigError("sample counts must be positive")
         # surfaces bad w/theta early
         try:
-            AdaptationParams(self.n, self.theta, self.w, self.density_cap_factor)
+            self.adaptation_params()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         return spec
 
     def adaptation_params(self) -> AdaptationParams:
-        return AdaptationParams(self.n, self.theta, self.w, self.density_cap_factor)
+        return AdaptationParams(self.n, self.theta, self.w)
 
 
 @dataclass
@@ -336,11 +335,6 @@ def experiment(config: RunConfig) -> ExperimentResult:
     return result
 
 
-def ablation(config: RunConfig, **overrides) -> RunConfig:
-    """Clone a config with ablation flags (use_ia / adapt_refs) flipped."""
-    return replace(config, **overrides)
-
-
 __all__ = [
     "ConfigError",
     "RunConfig",
@@ -349,6 +343,5 @@ __all__ = [
     "ExperimentResult",
     "run",
     "experiment",
-    "ablation",
     "available_problems",
 ]

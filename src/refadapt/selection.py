@@ -52,17 +52,21 @@ def cascade_cluster(objs, directions, n_select: int, ideal) -> SelectionResult:
     frontier to its minimum-angle direction, which forms the clusters;
     rank each cluster's frontiers by ascending pdm (the best one is the
     cluster center); attach every non-frontier to the Euclidean-nearest
-    center and rank by that distance; then pick round-robin over clusters
-    in ascending direction index, frontiers before non-frontiers, one
-    member per visit, until the quota or the pool runs out.
+    center and rank it by that distance after all of its cluster's
+    frontiers. The pick order is a sort by (queue rank, cluster index),
+    which equals a round-robin over clusters in ascending direction
+    index taking one member per visit, until the quota or the pool runs
+    out.
 
     All ties (angles, pdm, distances) break toward the lower index, so
-    the result is deterministic.
+    the result is deterministic. Non-finite objectives are rejected.
     """
     objs = np.asarray(objs, dtype=float)
     Z = np.atleast_2d(np.asarray(directions, dtype=float))
     if objs.ndim != 2 or len(objs) == 0:
         raise ValueError("candidate pool must be a nonempty (n, M) array")
+    if not np.all(np.isfinite(objs)):
+        raise ValueError("candidate pool holds non-finite objective values")
     if len(Z) == 0:
         raise ValueError("reference-vector set must be nonempty")
     if n_select < 1:
@@ -71,46 +75,34 @@ def cascade_cluster(objs, directions, n_select: int, ideal) -> SelectionResult:
     translated = objs - np.asarray(ideal, dtype=float)
     frontier, non_frontier = nondominated_split(objs)
 
-    # frontier attachment activates reference vectors
+    # frontier attachment activates reference vectors; clusters are
+    # numbered by ascending direction index
     ang = angle_matrix(translated[frontier], Z)
     activation = np.argmin(ang, axis=1)
-    active = np.unique(activation)
+    active, cluster = np.unique(activation, return_inverse=True)
+    scores = translated[frontier].mean(axis=1) + np.sin(ang[np.arange(len(frontier)), activation])
+    counts = np.bincount(cluster)
+    centers = frontier[np.lexsort((scores, cluster))[np.cumsum(counts) - counts]]
 
-    queues: list[list[int]] = []
-    center_rows: list[int] = []
-    frontier_counts: list[int] = []
-    for ci, zi in enumerate(active):
-        members = frontier[activation == zi]            # pool order
-        scores = translated[members].mean(axis=1) + np.sin(ang[activation == zi, zi])
-        order = np.argsort(scores, kind="stable")
-        ranked = members[order]
-        queues.append(list(ranked))
-        center_rows.append(int(ranked[0]))
-        frontier_counts.append(len(ranked))
+    # every non-frontier joins the cluster of its Euclidean-nearest center
+    dist = cdist(translated[non_frontier], translated[centers])
+    attach = np.argmin(dist, axis=1)                    # ties: lowest cluster index
 
-    if len(non_frontier):
-        dist = cdist(translated[non_frontier], translated[center_rows])
-        attach = np.argmin(dist, axis=1)                # ties: lowest cluster index
-        for ci in range(len(active)):
-            members = non_frontier[attach == ci]
-            order = np.argsort(dist[attach == ci, ci], kind="stable")
-            queues[ci].extend(members[order])
+    # queue of a cluster: its frontiers by pdm, then its non-frontiers by
+    # distance; lexsort is stable, so remaining ties keep pool order
+    rows = np.concatenate([frontier, non_frontier])
+    queue = np.concatenate([cluster, attach])
+    key = np.concatenate([scores, dist[np.arange(len(non_frontier)), attach]])
+    order = np.lexsort((key, np.arange(len(rows)) >= len(frontier), queue))
+    rows, queue = rows[order], queue[order]
+    sizes = np.bincount(queue)
+    rank = np.arange(len(rows)) - (np.cumsum(sizes) - sizes)[queue]
 
-    # round-robin picking
-    picked: list[int] = []
-    heads = [0] * len(queues)
+    # visit r of the round-robin takes entry r of every queue in cluster order
     want = min(n_select, len(objs))
-    while len(picked) < want:
-        for ci, queue in enumerate(queues):
-            if heads[ci] < len(queue):
-                picked.append(int(queue[heads[ci]]))
-                heads[ci] += 1
-                if len(picked) == want:
-                    break
-
     return SelectionResult(
-        selected=np.array(picked, dtype=np.int64),
+        selected=rows[np.lexsort((queue, rank))[:want]].astype(np.int64),
         active=active.astype(np.int64),
-        centers=np.array(center_rows, dtype=np.int64),
+        centers=centers.astype(np.int64),
         pool_exhausted=want < n_select,
     )

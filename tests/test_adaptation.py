@@ -64,13 +64,30 @@ class TestShrink:
             if event.kind != "shrink":
                 continue
             new = arch.layers[arch.live_count - 1]
-            active_pairs = {(0, int(r)) for r in active}
-            from refadapt.adaptation import _assoc_pairs
+            # the base layer is fully enabled, so a participating index is
+            # also the stacked index that ``assoc`` points at; a vector is
+            # enabled exactly when it points at an active one
+            assert np.array_equal(new.enabled, np.isin(new.assoc, active))
 
-            tl, tr = _assoc_pairs(arch, arch.live_count - 1, new.assoc)
-            for enabled, li, ri in zip(new.enabled, tl, tr):
-                if enabled:
-                    assert (int(li), int(ri)) in active_pairs
+    def test_third_layer_enables_from_active_in_both_lower_layers(self):
+        # the active set spans the base layer and the second layer; the
+        # third layer's flags follow its association with the stacked
+        # lower layers (all vectors), not with the participating order
+        arch = ReferenceArchive.initialize(2, 5)                   # H=4
+        adapt(arch, [3, 4], AdaptationParams(n=5, theta=0.2, w=1))
+        _, layer_idx, row_idx = arch.participating()
+        # rows 2, 3 of the H=8 layer: participating 5, 6 are stacked 7, 8
+        assert arch.layers[1].enabled.tolist() == [False, False, True, True]
+        active = np.array([0, 3, 5, 6])
+        assert set(layer_idx[active].tolist()) == {0, 1}
+        _, event = adapt(arch, active, AdaptationParams(n=10, theta=0.2, w=1))
+        assert event.kind == "shrink" and arch.live_count == 3
+        base, second, third = arch.layers
+        nearest = associate(third.directions, np.vstack([base.directions, second.directions]))
+        active_stacked = np.where(layer_idx[active] == 0, 0, len(base)) + row_idx[active]
+        expected = np.isin(nearest, active_stacked)
+        assert np.array_equal(third.enabled, expected)
+        assert expected.any() and not expected.all()
 
     def test_never_disables_live_vectors(self):
         arch = base_archive(n=5)

@@ -3,6 +3,7 @@ import numpy as np
 from refadapt.archive import IndividualArchive, maintain
 from refadapt.core import associate, dominates
 from refadapt.reference import ReferenceArchive
+from refadapt.runner import _objectives_csv
 from refadapt.selection import cascade_cluster
 
 
@@ -55,5 +56,5 @@ def test_members_activate_distinct_vectors_across_generations():
 def test_csv_dump(tmp_path):
     ia = maintain(IndividualArchive.empty(2, 2), [[0.5, 0.5]], [[1.25, 2.5]])
     path = tmp_path / "ia.csv"
-    ia.to_csv(path)
+    _objectives_csv(path, ia.objectives)
     assert path.read_text().splitlines() == ["f1,f2", "1.25,2.5"]

@@ -59,6 +59,13 @@ class TestFormulas:
         with pytest.raises(ValueError):
             spec.evaluate(np.full(spec.d, 1.5))
 
+    def test_nan_decision_rejected(self):
+        spec = make_problem("maf1", 3)
+        x = np.full(spec.d, 0.5)
+        x[1] = np.nan
+        with pytest.raises(ValueError):
+            spec.evaluate(x)
+
     def test_unknown_problem(self):
         with pytest.raises(KeyError):
             make_problem("nope", 3)

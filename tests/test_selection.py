@@ -44,6 +44,12 @@ class TestCascadeCluster:
         with pytest.raises(ValueError):
             cascade_cluster(np.empty((0, 2)), [[1, 0]], 1, [0, 0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_pool_rejected(self, bad):
+        pool = np.array([[1.0, 2.0], [2.0, 1.0], [bad, 1.5]])
+        with pytest.raises(ValueError, match="non-finite"):
+            cascade_cluster(pool, [[0.5, 0.5]], 2, [0.0, 0.0])
+
     def test_small_pool_returned_whole_and_flagged(self):
         pool = np.array([[1, 2], [2, 1]], float)
         res = cascade_cluster(pool, [[0.5, 0.5]], 5, [0, 0])
@@ -65,10 +71,17 @@ class TestCascadeCluster:
         assert res.centers.tolist() == cen
 
     def test_matches_step_by_step_oracle_on_random_instances(self):
+        # M up to 5, quotas up to three times the pool, and every other
+        # pool rounded to integers, so duplicated rows tie exactly in pdm
+        # and center distance
         rng = np.random.default_rng(42)
-        for _ in range(60):
-            m = int(rng.integers(2, 4))
-            pool, Z, n_select, ideal = random_instance(rng, m, pool_max=12, z_max=6)
+        for trial in range(120):
+            m = int(rng.integers(2, 6))
+            pool, Z, n_select, ideal = random_instance(rng, m, pool_max=16, z_max=6)
+            if trial % 2 == 0:
+                pool = np.round(pool)
+                ideal = pool.min(axis=0)
+            n_select = int(rng.integers(1, 3 * len(pool) + 1))
             res = cascade_cluster(pool, Z, n_select, ideal)
             sel, act, cen = cascade_cluster_oracle(pool, Z, n_select, ideal)
             assert res.selected.tolist() == sel
