@@ -17,7 +17,7 @@ from refadapt import (
 from refadapt.simulate import active_set
 
 N, THETA = 24, 0.2
-params = AdaptationParams(n=N, theta=THETA, w=20)
+params = AdaptationParams(n=N, theta=THETA)
 band = f"[{(1 - THETA) * N:.1f}, {(1 + THETA) * N:.1f}]"
 archive = ReferenceArchive.initialize(2, N)
 print(f"base layer: H={archive.base_h}, {archive.participating_count()} vectors, "

@@ -9,7 +9,7 @@ scenario, and carry-over of one archive through the sequence.
 from refadapt import AdaptationParams, ReferenceArchive, default_scenarios, run_scenario
 from refadapt.simulate import permutation_similarity
 
-params = AdaptationParams(n=24, theta=0.2, w=20)
+params = AdaptationParams(n=24, theta=0.2)
 
 print("scenario geometry and standalone convergence:")
 for scenario in default_scenarios():

@@ -24,11 +24,10 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class AdaptationParams:
-    """Tolerance band and stability window for reference adaptation."""
+    """Tolerance band and density cap for reference adaptation."""
 
     n: int                       # population size the band is centred on
     theta: float = 0.2           # tolerance ratio in (0, 1)
-    w: int = 20                  # stability window in generations
     density_cap_factor: int = 64 # top density never exceeds cap * base density
 
     def __post_init__(self):
@@ -36,8 +35,6 @@ class AdaptationParams:
             raise ValueError("tolerance ratio must lie in (0, 1)")
         if (1.0 - self.theta) * self.n < 1.0:
             raise ValueError("tolerance band must keep at least one active vector")
-        if self.w < 1:
-            raise ValueError("stability window must be at least one generation")
         if self.density_cap_factor < 1:
             raise ValueError("density cap factor must be at least 1")
 

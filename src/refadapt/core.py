@@ -34,10 +34,10 @@ def nondominated_split(objs) -> tuple[np.ndarray, np.ndarray]:
     objs = np.asarray(objs, dtype=float)
     if objs.ndim != 2:
         raise ValueError("expected an (n, M) objective array")
-    # dom[i, j] == True iff row i dominates row j
+    # given le[i, j], "row i is somewhere better than row j" is exactly
+    # "not le[j, i]" (rows with NaN compare false either way)
     le = np.all(objs[:, None, :] <= objs[None, :, :], axis=2)
-    lt = np.any(objs[:, None, :] < objs[None, :, :], axis=2)
-    dominated = (le & lt).any(axis=0)
+    dominated = (le & ~le.T).any(axis=0)
     idx = np.arange(len(objs))
     return idx[~dominated], idx[dominated]
 

@@ -78,13 +78,14 @@ class RunConfig:
             raise ConfigError("sample counts must be positive")
         # surfaces bad w/theta early
         try:
+            StabilityTracker(self.w)
             self.adaptation_params()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         return spec
 
     def adaptation_params(self) -> AdaptationParams:
-        return AdaptationParams(self.n, self.theta, self.w)
+        return AdaptationParams(self.n, self.theta)
 
 
 @dataclass

@@ -234,7 +234,8 @@ def run_scenario(
         if event.kind == "none":
             converged = True
             break
-    n_active = len(active_set(points, archive))
+    # a "none" event left the archive as the last count saw it
+    n_active = len(active if converged else active_set(points, archive))
     return ScenarioReport(
         name=scenario.name,
         converged=converged,

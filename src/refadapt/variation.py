@@ -2,7 +2,9 @@
 
 Both operators take an explicit numpy Generator and document their draw
 order, so an identical stream reproduces identical offspring and an
-independent implementation can be checked bit for bit.
+independent implementation can be checked bit for bit. Both take row
+blocks: a whole generation is one call of each, which draws the same
+stream as one call per pair and per child.
 """
 
 from __future__ import annotations
@@ -34,22 +36,25 @@ class VariationParams:
 
 
 def sbx(p1, p2, params: VariationParams, lower, upper, rng) -> tuple[np.ndarray, np.ndarray]:
-    """Simulated binary crossover of two parent vectors.
+    """Simulated binary crossover of k parent pairs, given as two (k, D) blocks.
 
-    Draw order: one uniform for the pair gate, then D uniforms for the
-    per-variable application mask (applied with probability 0.5 given the
-    pair crossed), then D uniforms for the spread factors. The spread
-    factor follows the standard power law: beta = (2u)^(1/(eta_c+1)) for
-    u <= 0.5, else (1 / (2(1-u)))^(1/(eta_c+1)). Children are clamped to
-    the box bounds.
+    1-D parents are one pair. Draw order, pair after pair: one uniform for
+    the pair gate (crossing with probability ``p_c``); only if it crosses,
+    D uniforms for the per-variable application mask (probability 0.5) and
+    D uniforms for the spread factors. The spread factor follows the
+    standard power law: beta = (2u)^(1/(eta_c+1)) for u <= 0.5, else
+    (1 / (2(1-u)))^(1/(eta_c+1)). Children are clamped to the box bounds.
     """
     p1 = np.asarray(p1, dtype=float)
     p2 = np.asarray(p2, dtype=float)
-    d = len(p1)
-    if rng.random() >= params.p_c:
-        return p1.copy(), p2.copy()
-    apply_mask = rng.random(d) < 0.5
-    u = rng.random(d)
+    d = p1.shape[-1]
+    # a pair that does not cross keeps u = 0.5: mask off, beta = 1
+    draws = np.full(p1.shape[:-1] + (2 * d,), 0.5)
+    for row in draws.reshape(-1, 2 * d):
+        if rng.random() < params.p_c:
+            row[:] = rng.random(2 * d)
+    apply_mask = draws[..., :d] < 0.5
+    u = draws[..., d:]
     beta = np.where(
         u <= 0.5,
         (2.0 * u) ** (1.0 / (params.eta_c + 1.0)),
@@ -66,19 +71,20 @@ def sbx(p1, p2, params: VariationParams, lower, upper, rng) -> tuple[np.ndarray,
 
 
 def poly_mutate(x, params: VariationParams, lower, upper, rng) -> np.ndarray:
-    """Polynomial mutation of one solution vector.
+    """Polynomial mutation of a (k, D) block of rows, or of one 1-D row.
 
-    Draw order: D uniforms for the per-variable mask (probability ``p_m``,
-    default 1 / D), then D uniforms for the perturbations. The result is
-    clamped to the box bounds.
+    Draw order, row after row: D uniforms for the per-variable mask
+    (probability ``p_m``, default 1 / D), then D uniforms for the
+    perturbations. The result is clamped to the box bounds.
     """
     x = np.asarray(x, dtype=float)
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
-    d = len(x)
+    d = x.shape[-1]
     pm = params.p_m if params.p_m is not None else 1.0 / d
-    mask = rng.random(d) < pm
-    u = rng.random(d)
+    draws = rng.random(x.shape[:-1] + (2 * d,))
+    mask = draws[..., :d] < pm
+    u = draws[..., d:]
     span = upper - lower
     delta_low = (x - lower) / span
     delta_high = (upper - x) / span
@@ -104,20 +110,13 @@ def make_offspring(
 
     Parents are paired from one random permutation of the population
     (the leftover of an odd-sized population pairs with the first drawn
-    parent); pairs are processed in order and the child stream truncated
-    to ``count``.
+    parent). The first ceil(count / 2) pairs cross as one block; their
+    children, interleaved c1, c2, c1, c2, ... and cut to ``count``, are
+    mutated as one block.
     """
-    n = len(population)
-    perm = mating_rng.permutation(n)
-    pairs = [(perm[i], perm[i + 1]) for i in range(0, n - 1, 2)]
-    if n % 2 == 1:
-        pairs.append((perm[-1], perm[0]))
-    children: list[np.ndarray] = []
-    for i, j in pairs:
-        if len(children) >= count:
-            break
-        c1, c2 = sbx(population[i], population[j], params, lower, upper, crossover_rng)
-        children.append(poly_mutate(c1, params, lower, upper, mutation_rng))
-        if len(children) < count:
-            children.append(poly_mutate(c2, params, lower, upper, mutation_rng))
-    return np.vstack(children[:count])
+    perm = mating_rng.permutation(len(population))
+    first, second = perm[0::2], np.append(perm, perm[:1])[1::2]
+    k = -(-count // 2)
+    c1, c2 = sbx(population[first[:k]], population[second[:k]], params, lower, upper, crossover_rng)
+    children = np.stack([c1, c2], axis=1).reshape(-1, population.shape[1])[:count]
+    return poly_mutate(children, params, lower, upper, mutation_rng)

@@ -184,6 +184,28 @@ def poly_mutate_oracle(x, eta_m, p_m, lower, upper, rng):
     return out
 
 
+def make_offspring_oracle(population, count, eta_c, eta_m, p_c, p_m, lower, upper,
+                          mating_rng, crossover_rng, mutation_rng):
+    """Pair by pair, child by child: one sbx_oracle call per pair and one
+    poly_mutate_oracle call per child, stopping at ``count`` children."""
+    n = len(population)
+    perm = [int(i) for i in mating_rng.permutation(n)]
+    pairs = [(perm[i], perm[i + 1]) for i in range(0, n - 1, 2)]
+    if n % 2 == 1:
+        pairs.append((perm[-1], perm[0]))
+    pm = p_m if p_m is not None else 1.0 / len(lower)
+    children = []
+    for i, j in pairs:
+        if len(children) >= count:
+            break
+        c1, c2 = sbx_oracle(list(population[i]), list(population[j]), eta_c, p_c,
+                            lower, upper, crossover_rng)
+        for child in (c1, c2):
+            if len(children) < count:
+                children.append(poly_mutate_oracle(child, eta_m, pm, lower, upper, mutation_rng))
+    return children
+
+
 # ---------------------------------------------------------------------------
 # metrics
 

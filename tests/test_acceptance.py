@@ -105,7 +105,7 @@ def test_criterion_03_sequential_equivalence():
 
 
 def test_criterion_04_adaptation_band_convergence():
-    params24 = AdaptationParams(n=24, theta=0.2, w=20)
+    params24 = AdaptationParams(n=24, theta=0.2)
     archive = ReferenceArchive.initialize(2, 24)
     shrunk = run_scenario(partial_arc_scenario(), archive, params24)
     ok = shrunk.converged and 20 <= shrunk.n_active <= 28
@@ -120,7 +120,7 @@ def test_criterion_04_adaptation_band_convergence():
         for n in (24, 96):
             report = run_scenario(
                 scenario, ReferenceArchive.initialize(2, n),
-                AdaptationParams(n=n, theta=0.2, w=20))
+                AdaptationParams(n=n, theta=0.2))
             ok &= report.converged
             inacc[n] = report.inaccuracy
         ok &= inacc[24] <= 0.25
@@ -132,7 +132,7 @@ def test_criterion_04_adaptation_band_convergence():
 
 def test_criterion_05_order_insensitivity():
     t0 = time.perf_counter()
-    params = AdaptationParams(n=24, theta=0.2, w=20)
+    params = AdaptationParams(n=24, theta=0.2)
     scenarios = default_scenarios()
     ARTIFACTS.mkdir(parents=True, exist_ok=True)
 

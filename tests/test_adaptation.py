@@ -28,8 +28,9 @@ class TestParams:
             AdaptationParams(n=1, theta=0.5)
 
     def test_window_positive(self):
+        # the window is read only by the tracker, which validates it
         with pytest.raises(ValueError):
-            AdaptationParams(n=10, w=0)
+            StabilityTracker(0)
 
 
 class TestShrink:
@@ -41,7 +42,7 @@ class TestShrink:
         # (.25,.75), both active; the other two associate with inactive
         # vectors and stay disabled.
         arch = base_archive(n=5)
-        params = AdaptationParams(n=5, theta=0.2, w=1)
+        params = AdaptationParams(n=5, theta=0.2)
         dirs, event = adapt(arch, [0, 1, 2], params)
         assert event.kind == "shrink"
         assert arch.live_count == 2
@@ -57,7 +58,7 @@ class TestShrink:
         rng = np.random.default_rng(0)
         for n in (8, 13, 24):
             arch = ReferenceArchive.initialize(2, n)
-            params = AdaptationParams(n=n, theta=0.2, w=1)
+            params = AdaptationParams(n=n, theta=0.2)
             k = arch.participating_count()
             active = np.sort(rng.choice(k, size=max(1, int(0.3 * n)), replace=False))
             _, event = adapt(arch, active, params)
@@ -74,13 +75,13 @@ class TestShrink:
         # third layer's flags follow its association with the stacked
         # lower layers (all vectors), not with the participating order
         arch = ReferenceArchive.initialize(2, 5)                   # H=4
-        adapt(arch, [3, 4], AdaptationParams(n=5, theta=0.2, w=1))
+        adapt(arch, [3, 4], AdaptationParams(n=5, theta=0.2))
         _, layer_idx, row_idx = arch.participating()
         # rows 2, 3 of the H=8 layer: participating 5, 6 are stacked 7, 8
         assert arch.layers[1].enabled.tolist() == [False, False, True, True]
         active = np.array([0, 3, 5, 6])
         assert set(layer_idx[active].tolist()) == {0, 1}
-        _, event = adapt(arch, active, AdaptationParams(n=10, theta=0.2, w=1))
+        _, event = adapt(arch, active, AdaptationParams(n=10, theta=0.2))
         assert event.kind == "shrink" and arch.live_count == 3
         base, second, third = arch.layers
         nearest = associate(third.directions, np.vstack([base.directions, second.directions]))
@@ -91,7 +92,7 @@ class TestShrink:
 
     def test_never_disables_live_vectors(self):
         arch = base_archive(n=5)
-        params = AdaptationParams(n=5, theta=0.2, w=1)
+        params = AdaptationParams(n=5, theta=0.2)
         before = [layer.enabled.copy() for layer in arch.live_layers()]
         adapt(arch, [0], params)
         for old, layer in zip(before, arch.live_layers()):
@@ -99,7 +100,7 @@ class TestShrink:
 
     def test_density_cap_turns_shrink_into_noop(self):
         arch = base_archive(n=5)
-        params = AdaptationParams(n=5, theta=0.2, w=1, density_cap_factor=1)
+        params = AdaptationParams(n=5, theta=0.2, density_cap_factor=1)
         _, event = adapt(arch, [0], params)
         assert event.kind == "none"
         assert arch.live_count == 1
@@ -111,7 +112,7 @@ class TestShrink:
 
         monkeypatch.setattr(adaptation_mod, "MAX_LATTICE_POINTS", 100)
         arch = ReferenceArchive.initialize(5, 70)   # H=5, next lattice 210 > 100
-        params = AdaptationParams(n=70, theta=0.2, w=1)
+        params = AdaptationParams(n=70, theta=0.2)
         _, event = adapt(arch, [0, 1, 2], params)
         assert event.kind == "none"
         assert arch.live_count == 1
@@ -121,7 +122,7 @@ class Testband:
     def test_inside_band_is_noop(self):
         # 192 <= 200 <= 288 for the conventional settings
         arch = ReferenceArchive.initialize(3, 240)
-        params = AdaptationParams(n=240, theta=0.2, w=1)
+        params = AdaptationParams(n=240, theta=0.2)
         _, event = adapt(arch, list(range(200)), params)
         assert event.kind == "none"
         assert event.active_before == event.active_after == 200
@@ -129,7 +130,7 @@ class Testband:
     def test_expand_with_only_base_layer_is_noop(self):
         arch = base_archive(n=3)  # H=2, three vectors... need all five active
         arch = ReferenceArchive.initialize(2, 5)
-        params = AdaptationParams(n=3, theta=0.1, w=1)
+        params = AdaptationParams(n=3, theta=0.1)
         _, event = adapt(arch, [0, 1, 2, 3, 4], params)
         assert event.kind == "none"
         assert arch.live_count == 1
@@ -138,13 +139,13 @@ class Testband:
 class TestExpand:
     def _shrunk_archive(self):
         arch = base_archive(n=5)
-        params = AdaptationParams(n=5, theta=0.2, w=1)
+        params = AdaptationParams(n=5, theta=0.2)
         adapt(arch, [0, 1, 2], params)
         return arch
 
     def test_expand_removes_top_and_back_propagates(self):
         arch = self._shrunk_archive()
-        params = AdaptationParams(n=2, theta=0.2, w=1)
+        params = AdaptationParams(n=2, theta=0.2)
         k = arch.participating_count()
         _, event = adapt(arch, list(range(k)), params)  # 7 > 2.4 forces expand
         assert event.kind == "expand"
@@ -155,17 +156,17 @@ class TestExpand:
 
     def test_expand_never_enables_top_layer(self):
         arch = self._shrunk_archive()
-        params = AdaptationParams(n=2, theta=0.2, w=1)
+        params = AdaptationParams(n=2, theta=0.2)
         top_before = arch.layers[1].enabled.copy()
         adapt(arch, list(range(arch.participating_count())), params)
         assert np.array_equal(arch.layers[1].enabled, top_before)
 
     def test_reshrink_revives_stored_layer(self):
         arch = self._shrunk_archive()
-        expand_params = AdaptationParams(n=2, theta=0.2, w=1)
+        expand_params = AdaptationParams(n=2, theta=0.2)
         adapt(arch, list(range(arch.participating_count())), expand_params)
         retired = arch.layers[1]
-        shrink_params = AdaptationParams(n=5, theta=0.2, w=1)
+        shrink_params = AdaptationParams(n=5, theta=0.2)
         _, event = adapt(arch, [3, 4], shrink_params)
         assert event.kind == "shrink"
         assert arch.live_count == 2
@@ -177,7 +178,7 @@ class TestExpand:
 
 class TestMonotoneGrowth:
     def test_repeated_shrinks_grow_participating_until_band_or_cap(self):
-        params = AdaptationParams(n=24, theta=0.2, w=1, density_cap_factor=8)
+        params = AdaptationParams(n=24, theta=0.2, density_cap_factor=8)
         arch = ReferenceArchive.initialize(2, 24)
         points = partial_arc_scenario(40.0, 60.0).points()   # narrow coverage
         sizes = [arch.participating_count()]
@@ -229,7 +230,7 @@ def test_participating_never_empty_and_never_from_retired_layers():
         k = arch.participating_count()
         size = int(rng.integers(1, k + 1))
         active = np.sort(rng.choice(k, size=size, replace=False))
-        params = AdaptationParams(n=12, theta=0.2, w=1)
+        params = AdaptationParams(n=12, theta=0.2)
         dirs, _ = adapt(arch, active, params)
         assert len(dirs) >= 1
         _, layer_idx, _ = arch.participating()

@@ -113,9 +113,14 @@ class TestNondominatedSplit:
         assert front.tolist() == [0, 1]
 
     def test_matches_pairwise_oracle_on_random_sets(self):
+        # every other pool is rounded to integers, so duplicated and
+        # partly equal rows occur
         rng = np.random.default_rng(5)
-        for _ in range(50):
-            pool = rng.uniform(0, 1, (8, 2))
+        for t in range(80):
+            m = int(rng.integers(2, 6))
+            pool = rng.uniform(0, 4, (int(rng.integers(1, 61)), m))
+            if t % 2:
+                pool = np.round(pool)
             front, rest = nondominated_split(pool)
             of, orest = frontier_split_oracle(pool.tolist())
             assert front.tolist() == of

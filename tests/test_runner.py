@@ -32,6 +32,10 @@ class TestValidation:
         with pytest.raises(ConfigError):
             RunConfig(problem="dtlz2", m=3, n=20, max_evals=2000, theta=1.5).validate()
 
+    def test_bad_window_surfaces_as_config_error(self):
+        with pytest.raises(ConfigError):
+            RunConfig(problem="dtlz2", m=3, n=20, max_evals=2000, w=0).validate()
+
 
 class TestRun:
     def test_deterministic_given_seed(self):

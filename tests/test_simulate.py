@@ -25,7 +25,7 @@ from refadapt.simulate import (
 
 from oracles import brute_force_density_active
 
-PARAMS = AdaptationParams(n=24, theta=0.2, w=20)
+PARAMS = AdaptationParams(n=24, theta=0.2)
 
 
 def fresh(n=24):
@@ -111,6 +111,13 @@ class TestRunScenario:
         report = run_scenario(sc, archive, PARAMS, max_iters=12)
         assert not report.converged
         assert report.iterations == 12
+        assert report.n_active == len(active_set(sc.points(), archive))
+
+    def test_zero_iteration_cap_counts_the_untouched_archive(self):
+        sc = default_scenarios()[0]
+        report = run_scenario(sc, fresh(), PARAMS, max_iters=0)
+        assert not report.converged and report.iterations == 0
+        assert report.n_active == len(active_set(sc.points(), fresh()))
 
 
 class TestSimilarity:
@@ -164,7 +171,7 @@ class TestBruteForceAgreement:
     @pytest.mark.parametrize("n", [8, 10, 12])
     def test_engine_tracks_brute_force_density_search(self, n):
         theta = 0.2
-        params = AdaptationParams(n=n, theta=theta, w=20)
+        params = AdaptationParams(n=n, theta=theta)
         sc = arc_scenario("half", [(20.0, 65.0)])
         archive = ReferenceArchive.initialize(2, n)
         report = run_scenario(sc, archive, params)
@@ -177,7 +184,7 @@ class TestInaccuracyScaling:
         for sc in default_scenarios():
             results = {}
             for n in (24, 96):
-                params = AdaptationParams(n=n, theta=0.2, w=20)
+                params = AdaptationParams(n=n, theta=0.2)
                 report = run_scenario(sc, ReferenceArchive.initialize(2, n), params)
                 assert report.converged, sc.name
                 results[n] = report.inaccuracy

@@ -3,20 +3,25 @@ import pytest
 
 from refadapt.variation import VariationParams, make_offspring, poly_mutate, sbx
 
-from oracles import poly_mutate_oracle, sbx_oracle
+from oracles import make_offspring_oracle, poly_mutate_oracle, sbx_oracle
 
 
 class _FixedRng:
-    """Duck-typed generator returning scripted uniform draws."""
+    """Duck-typed generator handing out one scripted stream of uniforms.
 
-    def __init__(self, scalars, arrays):
-        self._scalars = list(scalars)
-        self._arrays = [np.asarray(a, dtype=float) for a in arrays]
+    Like a real generator, ``random(size)`` returns the next values of
+    the stream in the requested shape, however the draws are grouped.
+    """
+
+    def __init__(self, stream):
+        self._stream = list(stream)
 
     def random(self, size=None):
         if size is None:
-            return self._scalars.pop(0)
-        return self._arrays.pop(0)
+            return self._stream.pop(0)
+        count = int(np.prod(size))
+        values, self._stream = self._stream[:count], self._stream[count:]
+        return np.reshape(np.asarray(values, dtype=float), size)
 
 
 BOUNDS = (np.zeros(2), np.ones(2))
@@ -25,7 +30,7 @@ BOUNDS = (np.zeros(2), np.ones(2))
 class TestSbx:
     def test_unit_spread_factor_reproduces_parents(self):
         # u = 0.5 makes beta = 1 exactly
-        rng = _FixedRng([0.0], [[0.0, 0.0], [0.5, 0.5]])
+        rng = _FixedRng([0.0, 0.0, 0.0, 0.5, 0.5])
         p1, p2 = np.array([0.2, 0.8]), np.array([0.6, 0.4])
         c1, c2 = sbx(p1, p2, VariationParams(), *BOUNDS, rng)
         assert np.allclose(c1, p1) and np.allclose(c2, p2)
@@ -55,6 +60,18 @@ class TestSbx:
                              np.zeros(6), np.ones(6), np.random.default_rng(seed + 1000))
             assert lib[0].tolist() == ora[0]
             assert lib[1].tolist() == ora[1]
+
+    def test_row_block_matches_per_pair_oracle(self):
+        # one (k, D) call draws each pair's gate, mask and spreads in pair
+        # order, so it equals k oracle calls on the same stream
+        params = VariationParams(eta_c=15.0, p_c=0.6)
+        p1, p2 = np.random.default_rng(8).uniform(0, 1, (2, 40, 5))
+        lib = sbx(p1, p2, params, np.zeros(5), np.ones(5), np.random.default_rng(9))
+        rng = np.random.default_rng(9)
+        ora = [sbx_oracle(a.tolist(), b.tolist(), 15.0, 0.6, np.zeros(5), np.ones(5), rng)
+               for a, b in zip(p1, p2)]
+        assert lib[0].tolist() == [c1 for c1, _ in ora]
+        assert lib[1].tolist() == [c2 for _, c2 in ora]
 
     def test_children_within_bounds(self):
         rng = np.random.default_rng(3)
@@ -90,7 +107,7 @@ class TestPolyMutate:
     def test_lower_bound_stays_feasible(self):
         # u < 0.5 perturbs toward the lower bound; at the bound the
         # perturbation magnitude is zero and clamping keeps feasibility
-        rng = _FixedRng([], [[0.0, 0.0], [0.1, 0.2]])
+        rng = _FixedRng([0.0, 0.0, 0.1, 0.2])
         x = np.zeros(2)
         out = poly_mutate(x, VariationParams(p_m=1.0), *BOUNDS, rng)
         assert np.all(out >= 0.0)
@@ -103,6 +120,15 @@ class TestPolyMutate:
             ora = poly_mutate_oracle(x.tolist(), 20.0, 0.5, np.zeros(5), np.ones(5),
                                      np.random.default_rng(seed + 7))
             assert lib.tolist() == ora
+
+    def test_row_block_matches_per_row_oracle(self):
+        params = VariationParams(eta_m=20.0, p_m=0.5)
+        x = np.random.default_rng(10).uniform(0, 1, (40, 5))
+        lib = poly_mutate(x, params, np.zeros(5), np.ones(5), np.random.default_rng(11))
+        rng = np.random.default_rng(11)
+        ora = [poly_mutate_oracle(row.tolist(), 20.0, 0.5, np.zeros(5), np.ones(5), rng)
+               for row in x]
+        assert lib.tolist() == ora
 
     def test_output_within_bounds(self):
         rng = np.random.default_rng(5)
@@ -140,3 +166,19 @@ class TestOffspring:
         rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(6).spawn(3)]
         off = make_offspring(pop, count, VariationParams(), np.zeros(2), np.ones(2), *rngs)
         assert off.shape == (count, 2)
+
+    @pytest.mark.parametrize("p_c", [0.0, 0.5, 0.9, 1.0])
+    @pytest.mark.parametrize("d", [1, 12])
+    @pytest.mark.parametrize("n", [9, 12])
+    def test_matches_per_pair_oracle_bit_for_bit(self, n, d, p_c):
+        pop = np.random.default_rng(n * d).uniform(-1, 2, (n, d))
+        lower, upper = -np.ones(d), 2 * np.ones(d)
+        params = VariationParams(eta_c=15.0, eta_m=20.0, p_c=p_c)
+        for count in (1, n // 2, n):
+            lib_rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(count).spawn(3)]
+            ora_rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(count).spawn(3)]
+            lib = make_offspring(pop, count, params, lower, upper, *lib_rngs)
+            ora = make_offspring_oracle(pop, count, 15.0, 20.0, p_c, None, lower, upper, *ora_rngs)
+            assert lib.tolist() == ora
+            # the same number of draws was taken from every stream
+            assert [r.random() for r in lib_rngs] == [r.random() for r in ora_rngs]
