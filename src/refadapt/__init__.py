@@ -6,13 +6,7 @@ layered reference archive densifies ("shrink") or coarsens ("expand")
 that set to follow the directional footprint of the tracked Pareto front.
 """
 
-from .adaptation import (
-    AdaptationEvent,
-    AdaptationParams,
-    StabilityTracker,
-    adapt,
-    stability_check,
-)
+from .adaptation import AdaptationEvent, AdaptationParams, adapt
 from .archive import IndividualArchive, maintain
 from .core import angle, angle_matrix, associate, dominates, nondominated_split, update_ideal
 from .metrics import Trajectory, confidence_trajectory, igd, stability
@@ -61,7 +55,6 @@ __all__ = [
     "Scenario",
     "ScenarioReport",
     "SelectionResult",
-    "StabilityTracker",
     "Trajectory",
     "VariationParams",
     "adapt",
@@ -93,6 +86,5 @@ __all__ = [
     "sbx",
     "simplex_lattice",
     "stability",
-    "stability_check",
     "update_ideal",
 ]

@@ -4,20 +4,19 @@ Shrink reacts to too few active reference vectors by adding (or reviving)
 a denser layer and enabling only the new vectors associated with the
 currently active ones. Expand reacts to too many active vectors by
 back-propagating the activity of the densest layer onto the coarser ones
-and then retiring the densest layer. A stability window over the activity
-bitvector decides when an adaptation attempt is due.
+and then retiring the densest layer. The runner decides when an
+adaptation attempt is due.
 """
 
 from __future__ import annotations
 
 import logging
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import associate
-from .reference import MAX_LATTICE_POINTS, ReferenceArchive, lattice_size
+from .reference import MAX_ASSOCIATION_PAIRS, MAX_LATTICE_POINTS, ReferenceArchive, lattice_size
 
 log = logging.getLogger(__name__)
 
@@ -93,6 +92,12 @@ def adapt(
 
     if n_active < low:
         target_h = 2 * archive.top_h
+        # a new layer is associated with every stored vector, the full
+        # lattice at the top stored density; reviving a stored layer needs
+        # no association
+        builds = archive.live_count == len(archive.layers)
+        stored = lattice_size(archive.m, archive.top_h)
+        new = lattice_size(archive.m, target_h) - stored
         if target_h > params.density_cap_factor * archive.base_h:
             log.warning(
                 "density cap reached (H=%d, base H=%d); shrink skipped",
@@ -105,13 +110,15 @@ def adapt(
                 "lattice at H=%d would hold %d points; shrink skipped",
                 target_h, lattice_size(archive.m, target_h),
             )
+        elif builds and new * stored > MAX_ASSOCIATION_PAIRS:
+            log.warning(
+                "new layer at H=%d would associate %d x %d vectors; shrink skipped",
+                target_h, new, stored,
+            )
         else:
-            position = archive.live_count
-            if position < len(archive.layers):
-                layer = archive.layers[position]     # revive the retired layer
-            else:
-                layer = archive.new_layer()
-                archive.layers.append(layer)
+            if builds:
+                archive.layers.append(archive.new_layer())
+            layer = archive.layers[archive.live_count]   # the new or the revived layer
             layer.enabled = is_active[layer.assoc]
             archive.live_count += 1
             kind = "shrink"
@@ -125,6 +132,7 @@ def adapt(
             top_pos = archive.live_count - 1
             active_top = is_active[starts[top_pos]:]
             top_dirs = archive.layers[top_pos].directions
+            # (lower x top) pairs, bounded as when the top layer was built
             for li in range(top_pos):
                 lower_layer = archive.layers[li]
                 back = associate(lower_layer.directions, top_dirs)
@@ -143,38 +151,3 @@ def adapt(
     )
     return directions, event
 
-
-def stability_check(history, w: int) -> bool:
-    """True iff the history holds ``w`` identical activity bitvectors."""
-    entries = list(history)
-    if len(entries) != w:
-        return False
-    first = entries[0]
-    return all(entry == first for entry in entries[1:])
-
-
-class StabilityTracker:
-    """Ring of recent activity bitvectors gating adaptation attempts.
-
-    The ring clears itself whenever the participating set changes size
-    (the bitvector length differs from the previous one); the caller
-    resets it after every adaptation attempt so consecutive adaptations
-    are separated by at least ``w`` stable generations.
-    """
-
-    def __init__(self, w: int):
-        if w < 1:
-            raise ValueError("stability window must be at least one generation")
-        self.w = w
-        self._history: deque[tuple[bool, ...]] = deque(maxlen=w)
-
-    def push(self, activity) -> bool:
-        """Record one generation's activity; True when stable for w."""
-        bits = tuple(bool(b) for b in activity)
-        if self._history and len(self._history[-1]) != len(bits):
-            self._history.clear()
-        self._history.append(bits)
-        return stability_check(self._history, self.w)
-
-    def reset(self) -> None:
-        self._history.clear()

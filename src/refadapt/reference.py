@@ -3,8 +3,8 @@
 Reference vectors are stored as integer lattice coordinates over a layer
 density H (each row sums to H); the direction of a vector is coords / H,
 which lies on the unit simplex. Layer densities double from one layer to
-the next, so every coarse lattice is an exact subset of the finer one and
-new layers can drop already-present points by exact integer comparison.
+the next, so every coarse lattice is the all-even part of the finer one and
+new layers drop already-present points by parity.
 """
 
 from __future__ import annotations
@@ -21,6 +21,11 @@ from .core import associate
 # Hard ceiling on generated lattice points, to fail loudly instead of
 # exhausting memory on absurd (M, H) combinations.
 MAX_LATTICE_POINTS = 5_000_000
+
+# Ceiling on the (new x stored) angle matrix built to associate a new
+# layer: 2**25 pairs are 256 MiB per float64 matrix, and the association
+# holds about three such matrices at once.
+MAX_ASSOCIATION_PAIRS = 2**25
 
 
 def lattice_size(m: int, h: int) -> int:
@@ -93,10 +98,6 @@ class ReferenceLayer:
         return self.coords / float(self.h)
 
 
-def _coord_keys(coords: np.ndarray) -> set[tuple[int, ...]]:
-    return set(map(tuple, coords.tolist()))
-
-
 class ReferenceArchive:
     """Ordered stack of reference layers with doubling densities.
 
@@ -161,21 +162,15 @@ class ReferenceArchive:
     def new_layer(self) -> ReferenceLayer:
         """Construct the next, denser layer without attaching it.
 
-        The layer density doubles the current top density; lattice points
-        already present in any stored layer are removed by exact integer
-        comparison, every remaining vector starts disabled, and each is
+        The layer density doubles the current top density. The stored
+        layers partition the lattice at half that density, which scaled by
+        two is exactly the all-even points, so a point is new when any of
+        its coordinates is odd. Every new vector starts disabled and is
         associated with its nearest vector among the stored layers.
         """
-        h_new = 2 * self.layers[len(self.layers) - 1].h
+        h_new = 2 * self.layers[-1].h
         lattice = simplex_lattice(self.m, h_new)
-        seen: set[tuple[int, ...]] = set()
-        for layer in self.layers:
-            factor = h_new // layer.h
-            seen |= _coord_keys(layer.coords * factor)
-        keep = np.array([tuple(row) not in seen for row in lattice.tolist()], dtype=bool)
-        coords = lattice[keep]
-        if len(coords) == 0:
-            raise ValueError("densified layer is empty; archive state is corrupted")
+        coords = lattice[(lattice % 2).any(axis=1)]
         assoc = associate(coords / float(h_new), self.stacked_directions(len(self.layers)))
         return ReferenceLayer(
             h=h_new,

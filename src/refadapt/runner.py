@@ -3,9 +3,10 @@
 One run evolves a population against a problem for a fixed evaluation
 budget: variation produces offspring, one cascade-clustering pass over
 (population + offspring + individual archive) selects the next population
-and refreshes the archive, and a stability window over reference-vector
-activity gates the adaptation engine. Experiments repeat runs over seeds
-and aggregate IGD trajectories with confidence bounds.
+and refreshes the archive, and an adaptation attempt is due once the
+active reference vectors have stayed the same for ``w`` generations in a
+row. Experiments repeat runs over seeds and aggregate IGD trajectories
+with confidence bounds.
 
 Everything is deterministic given the seed: one root seed spawns
 substreams for initialization, mating, crossover and mutation, and all
@@ -22,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .adaptation import AdaptationEvent, AdaptationParams, StabilityTracker, adapt
+from .adaptation import AdaptationEvent, AdaptationParams, adapt
 from .archive import IndividualArchive, maintain
 from .core import update_ideal
 from .metrics import Trajectory, confidence_trajectory, igd, stability
@@ -74,11 +75,14 @@ class RunConfig:
             )
         if not self.seeds:
             raise ConfigError("need at least one seed")
-        if self.sample_points < 1 or self.igd_samples < 1:
-            raise ConfigError("sample counts must be positive")
-        # surfaces bad w/theta early
+        if self.igd_samples < 1:
+            raise ConfigError("IGD sample count must be positive")
+        if self.sample_points < 2:
+            # the schedule's two ends are the initial and the final population
+            raise ConfigError("need at least two IGD sample points")
+        if self.w < 1:
+            raise ConfigError("stability window must be at least one generation")
         try:
-            StabilityTracker(self.w)
             self.adaptation_params()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -132,29 +136,23 @@ def run(config: RunConfig, seed: int, pf_samples: np.ndarray | None = None) -> R
     ref_archive = ReferenceArchive.initialize(config.m, n)
     directions = ref_archive.participating()[0]
     ia = IndividualArchive.empty(spec.d, config.m)
-    tracker = StabilityTracker(config.w)
 
     # IGD is sampled at sample_points evaluation counts spread over the
-    # budget; the terminal sample is held back for the final population.
+    # budget. Generation g (0 = the initial population) ends at
+    # min((g + 1) n, max_evals) evaluations and scores the samples due by
+    # then; the samples at the budget score the final population instead.
     times = np.linspace(n, max_evals, config.sample_points)
+    ends = np.minimum(np.arange(1, -(-max_evals // n) + 1) * n, max_evals)
+    final = len(ends)
+    scorer = np.where(times >= max_evals - 1e-9, final, np.searchsorted(ends, times - 1e-9))
     igd_values = np.empty(config.sample_points)
-    cursor = 0
 
-    def record(current_evals: int, objs: np.ndarray, final: bool = False) -> None:
-        nonlocal cursor
-        value = None
-        while cursor < config.sample_points and times[cursor] <= current_evals + 1e-9:
-            if not final and times[cursor] >= max_evals - 1e-9:
-                break
-            if value is None:
-                value = igd(pf_samples, objs)
-            igd_values[cursor] = value
-            cursor += 1
-
-    record(evals, F)
+    igd_values[scorer == 0] = igd(pf_samples, F)    # times[0] = n, never at the budget
     gen_stats: list[GenerationStats] = []
     events: list[AdaptationEvent] = []
     generation = 0
+    stable = 0                  # generations in a row with the same active set
+    last_active = None
 
     while evals < max_evals:
         generation += 1
@@ -167,40 +165,30 @@ def run(config: RunConfig, seed: int, pf_samples: np.ndarray | None = None) -> R
         evals += n_off
         ideal = update_ideal(off_F, ideal)
 
-        if config.use_ia and len(ia):
-            pool_X = np.vstack([X, off_X, ia.solutions])
-            pool_F = np.vstack([F, off_F, ia.objectives])
-        else:
-            pool_X = np.vstack([X, off_X])
-            pool_F = np.vstack([F, off_F])
-
+        pool_X = np.vstack([X, off_X, ia.solutions])
+        pool_F = np.vstack([F, off_F, ia.objectives])
         result = cascade_cluster(pool_F, directions, n, ideal)
         X, F = pool_X[result.selected], pool_F[result.selected]
         if config.use_ia:
             ia = maintain(ia, pool_X[result.centers], pool_F[result.centers])
-
-        activity = np.zeros(len(directions), dtype=bool)
-        activity[result.active] = True
         gen_stats.append(GenerationStats(generation, evals, len(result.active), len(directions)))
 
-        if tracker.push(activity) and config.adapt_refs:
+        stable = stable + 1 if np.array_equal(result.active, last_active) else 1
+        last_active = result.active
+        if stable >= config.w and config.adapt_refs:
             directions, event = adapt(ref_archive, result.active, params, generation)
             events.append(event)
-            tracker.reset()
+            stable = 0
 
-        record(evals, F)
+        if generation in scorer:
+            igd_values[scorer == generation] = igd(pf_samples, F)
 
     # final population from the archive and the population together
-    if config.use_ia and len(ia):
-        pool_X = np.vstack([ia.solutions, X])
-        pool_F = np.vstack([ia.objectives, F])
-    else:
-        pool_X, pool_F = X, F
+    pool_X = np.vstack([ia.solutions, X])
+    pool_F = np.vstack([ia.objectives, F])
     result = cascade_cluster(pool_F, directions, n, ideal)
     X, F = pool_X[result.selected], pool_F[result.selected]
-    record(max_evals, F, final=True)
-    if cursor != config.sample_points:
-        raise RuntimeError("IGD sampling did not cover the schedule")
+    igd_values[scorer == final] = igd(pf_samples, F)
 
     wall = time.perf_counter() - t0
     log.info("seed %d finished in %.2fs (%d generations)", seed, wall, generation)

@@ -221,6 +221,76 @@ def igd_oracle(samples, population) -> float:
     return total / len(samples)
 
 
+def igd_schedule_oracle(n, max_evals, sample_points):
+    """Which IGD evaluation scores each sample, by the per-generation cursor.
+
+    The population is scored after initialization (``n`` evaluations),
+    after every generation and once more for the final population, each
+    time taking the samples due by then, except that only the final
+    population takes the samples at the budget. Returns, per sample, the
+    call index of the IGD evaluation that scored it, counting only the
+    moments that scored something.
+    """
+    times = np.linspace(n, max_evals, sample_points).tolist()
+    moments, evals = [n], n
+    while evals < max_evals:
+        evals = min(evals + n, max_evals)
+        moments.append(evals)
+    scorer, calls, cursor = [], 0, 0
+    for k, current in enumerate(moments + [max_evals]):
+        final = k == len(moments)
+        took = False
+        while cursor < sample_points and times[cursor] <= current + 1e-9:
+            if not final and times[cursor] >= max_evals - 1e-9:
+                break
+            scorer.append(calls)
+            took = True
+            cursor += 1
+        calls += took
+    assert cursor == sample_points
+    return scorer
+
+
+# ---------------------------------------------------------------------------
+# stability window
+
+def stability_attempts_oracle(activity_history, w, adapt_refs=True):
+    """Generations (1-based) at which an adaptation attempt is due.
+
+    ``activity_history`` lists, per generation, the participating-set size
+    and the active indices. A ring of the last ``w`` activity bitvectors,
+    cleared when the bitvector length changes and after every attempt,
+    calls for an attempt when it holds ``w`` identical entries.
+    """
+    ring, attempts = [], []
+    for generation, (size, active) in enumerate(activity_history, start=1):
+        on = set(active)
+        bits = tuple(i in on for i in range(size))
+        if ring and len(ring[-1]) != len(bits):
+            ring = []
+        ring = (ring + [bits])[-w:]
+        if len(ring) == w and all(entry == ring[0] for entry in ring) and adapt_refs:
+            attempts.append(generation)
+            ring = []
+    return attempts
+
+
+# ---------------------------------------------------------------------------
+# new reference layers
+
+def new_layer_coords_oracle(layers, m):
+    """Coordinates of the next layer: the lattice at twice the top density
+    minus every stored point, found by set lookup after scaling."""
+    from refadapt.reference import simplex_lattice
+
+    h_new = 2 * layers[-1].h
+    seen = set()
+    for layer in layers:
+        factor = h_new // layer.h
+        seen |= {tuple(int(c) * factor for c in row) for row in layer.coords.tolist()}
+    return [row for row in simplex_lattice(m, h_new).tolist() if tuple(row) not in seen]
+
+
 # ---------------------------------------------------------------------------
 # brute-force reference-density search (tiny scale only)
 

@@ -1,12 +1,8 @@
 import numpy as np
 import pytest
 
-from refadapt.adaptation import (
-    AdaptationParams,
-    StabilityTracker,
-    adapt,
-    stability_check,
-)
+import refadapt.adaptation as adaptation_mod
+from refadapt.adaptation import AdaptationParams, adapt
 from refadapt.core import associate
 from refadapt.reference import ReferenceArchive
 from refadapt.simulate import active_set, partial_arc_scenario
@@ -28,9 +24,11 @@ class TestParams:
             AdaptationParams(n=1, theta=0.5)
 
     def test_window_positive(self):
-        # the window is read only by the tracker, which validates it
+        # the window is read only by the run loop, whose config validates it
+        from refadapt.runner import RunConfig
+
         with pytest.raises(ValueError):
-            StabilityTracker(0)
+            RunConfig(problem="dtlz2", m=3, n=20, max_evals=2000, w=0).validate()
 
 
 class TestShrink:
@@ -108,14 +106,38 @@ class TestShrink:
     def test_oversized_lattice_turns_shrink_into_noop(self, monkeypatch):
         # many objectives: the doubled lattice may explode combinatorially
         # long before the density cap; the guard must skip, not crash
-        import refadapt.adaptation as adaptation_mod
-
         monkeypatch.setattr(adaptation_mod, "MAX_LATTICE_POINTS", 100)
         arch = ReferenceArchive.initialize(5, 70)   # H=5, next lattice 210 > 100
         params = AdaptationParams(n=70, theta=0.2)
         _, event = adapt(arch, [0, 1, 2], params)
         assert event.kind == "none"
         assert arch.live_count == 1
+
+    def test_oversized_association_turns_shrink_into_noop(self, caplog):
+        # M=5 from H=5: new layers at H=10 (875 x 126 pairs) and H=20
+        # (9625 x 1001) are built; H=40 would need 125125 x 10626
+        arch = ReferenceArchive.initialize(5, 126)
+        params = AdaptationParams(n=126, theta=0.2)
+        for h in (10, 20):
+            _, event = adapt(arch, [0], params)
+            assert event.kind == "shrink" and arch.top_h == h
+        with caplog.at_level("WARNING", logger="refadapt.adaptation"):
+            _, event = adapt(arch, [0], params)
+        assert event.kind == "none"
+        assert arch.live_count == 3 and len(arch.layers) == 3
+        assert "would associate 125125 x 10626 vectors" in caplog.text
+
+    def test_revival_is_never_skipped_for_association_size(self, monkeypatch):
+        arch = base_archive(n=5)
+        params = AdaptationParams(n=5, theta=0.2)
+        adapt(arch, [0, 1, 2], params)                       # builds H=8
+        _, event = adapt(arch, list(range(7)), AdaptationParams(n=3, theta=0.2))
+        assert event.kind == "expand" and arch.live_count == 1
+        monkeypatch.setattr(adaptation_mod, "MAX_ASSOCIATION_PAIRS", 0)
+        _, event = adapt(arch, [0], params)                   # revives H=8
+        assert event.kind == "shrink" and arch.live_count == 2
+        _, event = adapt(arch, [0], params)                   # would build H=16
+        assert event.kind == "none" and len(arch.layers) == 2
 
 
 class Testband:
@@ -190,37 +212,6 @@ class TestMonotoneGrowth:
             sizes.append(arch.participating_count())
         assert all(b > a for a, b in zip(sizes, sizes[1:]))
         assert len(sizes) > 1
-
-
-class TestStability:
-    def test_all_equal_window(self):
-        assert stability_check([(1, 0, 1, 0)] * 3, 3)
-
-    def test_insufficient_history(self):
-        assert not stability_check([(1, 0, 1, 0)] * 2, 3)
-
-    def test_differing_entries(self):
-        assert not stability_check([(1, 0, 1, 0), (1, 0, 1, 1)], 2)
-
-    def test_tracker_reports_after_w_pushes(self):
-        tracker = StabilityTracker(3)
-        bits = [True, False, True]
-        assert not tracker.push(bits)
-        assert not tracker.push(bits)
-        assert tracker.push(bits)
-
-    def test_tracker_clears_on_length_change(self):
-        tracker = StabilityTracker(2)
-        tracker.push([True, False])
-        assert not tracker.push([True, False, True])
-        assert tracker.push([True, False, True])
-
-    def test_tracker_reset(self):
-        tracker = StabilityTracker(2)
-        tracker.push([True])
-        tracker.push([True])
-        tracker.reset()
-        assert not tracker.push([True])
 
 
 def test_participating_never_empty_and_never_from_retired_layers():

@@ -57,6 +57,10 @@ class TestExitCodes:
         assert main(["run", "--problem", "dtlz2", "--m", "3", "--n", "100",
                      "--evals", "100"]) == 1
 
+    def test_single_sample_point_is_config_error(self):
+        assert main(["run", "--problem", "dtlz2", "--m", "3", "--n", "20",
+                     "--evals", "1500", "--sample-points", "1"]) == 1
+
 
 class TestRunCommand:
     def test_end_to_end_with_outputs(self, tmp_path):
@@ -83,6 +87,12 @@ class TestRunCommand:
         assert code == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["problem"] == "maf1"     # flag wins over file
+
+    def test_oversized_shrink_is_skipped_not_fatal(self):
+        # w=1 attempts a shrink every generation: without the association
+        # guard the layer at H=256 asks for a 24.4 GiB angle matrix
+        assert main(["run", "--problem", "maf1", "--m", "3", "--n", "40",
+                     "--evals", "8000", "--w", "1", "--seeds", "3"]) == 0
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg_file = tmp_path / "config.json"

@@ -11,6 +11,8 @@ from refadapt.reference import (
     simplex_lattice,
 )
 
+from oracles import new_layer_coords_oracle
+
 
 class TestSimplexLattice:
     def test_unit_axes_for_h1(self):
@@ -96,6 +98,18 @@ class TestNewLayer:
             angles = np.arccos(np.clip(
                 lower @ d / (np.linalg.norm(lower, axis=1) * np.linalg.norm(d)), -1, 1))
             assert angles[target] == pytest.approx(angles.min())
+
+    @pytest.mark.parametrize("m,n,layers", [
+        (2, 5, 8), (2, 24, 6), (2, 100, 6), (3, 10, 5), (3, 40, 3), (3, 91, 3),
+        (4, 4, 5), (4, 20, 3), (5, 5, 4), (5, 15, 3),
+    ])
+    def test_parity_matches_set_oracle(self, m, n, layers):
+        arch = ReferenceArchive.initialize(m, n)
+        for _ in range(layers):
+            expected = new_layer_coords_oracle(arch.layers, m)
+            layer = arch.new_layer()
+            assert layer.coords.tolist() == expected
+            arch.layers.append(layer)
 
 
 class TestNesting:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -6,6 +7,8 @@ import pytest
 import refadapt.runner as runner_mod
 from refadapt.metrics import igd
 from refadapt.runner import ConfigError, RunConfig, experiment, run
+
+from oracles import igd_schedule_oracle, stability_attempts_oracle
 
 SMALL = dict(m=3, n=20, max_evals=1500, w=10, igd_samples=400, sample_points=11)
 
@@ -33,8 +36,14 @@ class TestValidation:
             RunConfig(problem="dtlz2", m=3, n=20, max_evals=2000, theta=1.5).validate()
 
     def test_bad_window_surfaces_as_config_error(self):
+        for w in (0, -1):
+            with pytest.raises(ConfigError):
+                RunConfig(problem="dtlz2", m=3, n=20, max_evals=2000, w=w).validate()
+
+    def test_single_sample_point_rejected(self):
+        # the schedule's two ends are the initial and the final population
         with pytest.raises(ConfigError):
-            RunConfig(problem="dtlz2", m=3, n=20, max_evals=2000, w=0).validate()
+            RunConfig(problem="dtlz2", m=3, n=20, max_evals=1500, sample_points=1).validate()
 
 
 class TestRun:
@@ -119,6 +128,120 @@ class TestRun:
         assert len(rec.igd_values) == 37
         # one value per recording moment: init, three generations, final
         assert len(np.unique(rec.igd_values)) <= 5
+
+
+def _watch_run(monkeypatch, config, seed):
+    """Run once, recording every generation's (participating size, active
+    indices) and the generations of the adaptation attempts."""
+    history, attempts = [], []
+    real_cluster, real_adapt = runner_mod.cascade_cluster, runner_mod.adapt
+
+    def cluster(objs, directions, n_select, ideal):
+        result = real_cluster(objs, directions, n_select, ideal)
+        history.append((len(directions), result.active.tolist()))
+        return result
+
+    def adapt(archive, active, params, generation=0):
+        attempts.append(generation)
+        return real_adapt(archive, active, params, generation)
+
+    monkeypatch.setattr(runner_mod, "cascade_cluster", cluster)
+    monkeypatch.setattr(runner_mod, "adapt", adapt)
+    rec = run(config, seed)
+    return rec, history[:-1], attempts      # the last pass picks the final population
+
+
+class TestStabilityWindow:
+    def test_window_of_one_attempts_every_generation(self, monkeypatch):
+        cfg = RunConfig(problem="maf1", **{**SMALL, "w": 1})
+        rec, history, attempts = _watch_run(monkeypatch, cfg, 1)
+        assert attempts == [g.generation for g in rec.generations] == list(range(1, len(history) + 1))
+        assert [e.generation for e in rec.events] == attempts
+
+    @pytest.mark.parametrize("w", [2, 3, 5])
+    def test_attempts_at_least_w_apart(self, monkeypatch, w):
+        cfg = RunConfig(problem="maf1", **{**SMALL, "w": w})
+        _, _, attempts = _watch_run(monkeypatch, cfg, 2)
+        assert attempts and attempts[0] >= w
+        assert np.all(np.diff(attempts) >= w)
+
+    @pytest.mark.parametrize("problem,w,use_ia,adapt_refs", [
+        ("maf1", 2, True, True),
+        ("maf1", 3, False, True),
+        ("dtlz2", 2, True, True),
+        ("maf1", 2, True, False),
+    ])
+    def test_attempts_match_activity_ring_oracle(self, monkeypatch, problem, w, use_ia, adapt_refs):
+        cfg = RunConfig(problem=problem, m=3, n=20, max_evals=3000, w=w, igd_samples=100,
+                        sample_points=5, use_ia=use_ia, adapt_refs=adapt_refs)
+        rec, history, attempts = _watch_run(monkeypatch, cfg, 4)
+        assert attempts == stability_attempts_oracle(history, w, adapt_refs)
+        assert [e.generation for e in rec.events] == attempts
+
+
+class TestIgdSchedule:
+    @pytest.mark.parametrize("n,max_evals", [(20, 40), (20, 45), (20, 101), (20, 130), (7, 200)])
+    @pytest.mark.parametrize("sample_points", [2, 3, 7, 50])
+    def test_matches_cursor_oracle(self, monkeypatch, n, max_evals, sample_points):
+        # budgets off the population grid, and sample counts both above and
+        # below the generation count
+        calls = []
+
+        def counting_igd(samples, population):
+            calls.append(len(population))
+            return float(len(calls) - 1)
+
+        monkeypatch.setattr(runner_mod, "igd", counting_igd)
+        cfg = RunConfig(problem="dtlz2", m=3, n=n, max_evals=max_evals, igd_samples=50,
+                        sample_points=sample_points)
+        rec = run(cfg, 1)
+        assert rec.igd_values.tolist() == igd_schedule_oracle(n, max_evals, sample_points)
+        assert rec.final_igd == len(calls) - 1
+
+
+# sha256 of (final_population.csv, individual_archive.csv, events.jsonl)
+# per seed, recorded for MaF1 with M=3, N=40, 8000 evaluations and w=10;
+# the runs shrink and log "none" events without reaching any guard. IGD
+# files are left out: IGD can differ in the last ulp across machines.
+PINNED = {
+    "full": {
+        1: ("f6def6c8b12c692385172b2031a0b070d2c336b912c3933e0347136eb1a51edd",
+            "28223e3d59ecec375a97aedeeff3c9ab6fee9c1f942146eb4f3f5e6be6217b32",
+            "cd5392dade67a30cc9d43a346cd928936e8f9a11f2e581f64f59ae48bf642027"),
+        2: ("a74f06788159c878a59f69b667be4db1b0f9e7a1ea4d5e164561495247a7796c",
+            "2293ab78f7493b9fa6d849da80511c850de603e0f9c711af143ad6d2e7427e71",
+            "4bc190bb03ff7cc9523107938913661f8656e79a0a489b87567b0bbd0def5bea"),
+    },
+    "no_ia": {
+        1: ("ad10ae7ab8db604c8b278c1bc8997527218efcc8c1e9b643e419dac58d5f7325",
+            "75006944bc4f7831dfa33f692457fc7d97abd16170b6e9655c03dded544274d6",
+            "053acd6745cd1118b6d4ca48bca46d8d4dbdd28ecb8b741668fde621f7ae5c56"),
+        2: ("08241e14516e59b631936463aa46bc10d8252a9efa46e3e6cf8b1d041817a31b",
+            "75006944bc4f7831dfa33f692457fc7d97abd16170b6e9655c03dded544274d6",
+            "602c84a5c3a6f10ba2cac670a9e53a224ee1625dc66860678764f62150ff0a23"),
+    },
+    "fixed_z": {
+        1: ("efb5b49ee6de032bf06226dc7228d185d2d71bafa3dc2f39dd5af4ce6eab6969",
+            "53f38edac4575ae18bc5919b0450fd4ad4ccb76c87cd2b5f292badad14e8a350",
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        2: ("1b52463275be793f9c34a9279ada55d77d73ca64368a0a8e94039b78173590dc",
+            "a61ce295f2b1b81d21417b85590491b70aea5807b2d55b4460646d864a56b7f6",
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    },
+}
+
+
+@pytest.mark.parametrize("variant", sorted(PINNED))
+def test_outputs_pinned(tmp_path, variant):
+    cfg = RunConfig(problem="maf1", m=3, n=40, max_evals=8000, w=10, seeds=(1, 2),
+                    out_dir=str(tmp_path), use_ia=variant != "no_ia",
+                    adapt_refs=variant != "fixed_z")
+    experiment(cfg)
+    for seed, digests in PINNED[variant].items():
+        files = ("final_population.csv", "individual_archive.csv", "events.jsonl")
+        got = tuple(hashlib.sha256((tmp_path / f"seed_{seed}" / name).read_bytes()).hexdigest()
+                    for name in files)
+        assert got == digests, f"seed {seed}"
 
 
 class TestExperiment:
