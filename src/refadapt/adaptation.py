@@ -32,10 +32,15 @@ class AdaptationParams:
     def __post_init__(self):
         if not 0.0 < self.theta < 1.0:
             raise ValueError("tolerance ratio must lie in (0, 1)")
-        if (1.0 - self.theta) * self.n < 1.0:
+        if self.band[0] < 1.0:
             raise ValueError("tolerance band must keep at least one active vector")
         if self.density_cap_factor < 1:
             raise ValueError("density cap factor must be at least 1")
+
+    @property
+    def band(self) -> tuple[float, float]:
+        """Inclusive bounds on the active count that call for no adaptation."""
+        return (1.0 - self.theta) * self.n, (1.0 + self.theta) * self.n
 
 
 @dataclass
@@ -84,8 +89,7 @@ def adapt(
     is_active = np.zeros(starts[-1], dtype=bool)
     is_active[starts[layer_idx[active]] + row_idx[active]] = True
     n_active = len(active)
-    low = (1.0 - params.theta) * params.n
-    high = (1.0 + params.theta) * params.n
+    low, high = params.band
 
     kind = "none"
     active_after = n_active

@@ -34,9 +34,12 @@ def nondominated_split(objs) -> tuple[np.ndarray, np.ndarray]:
     objs = np.asarray(objs, dtype=float)
     if objs.ndim != 2:
         raise ValueError("expected an (n, M) objective array")
-    # given le[i, j], "row i is somewhere better than row j" is exactly
+    # le[i, j]: row i is <= row j in every objective, built one column at
+    # a time; "row i is somewhere better than row j" is then exactly
     # "not le[j, i]" (rows with NaN compare false either way)
-    le = np.all(objs[:, None, :] <= objs[None, :, :], axis=2)
+    le = np.ones((len(objs), len(objs)), dtype=bool)
+    for col in objs.T:
+        le &= col[:, None] <= col[None, :]
     dominated = (le & ~le.T).any(axis=0)
     idx = np.arange(len(objs))
     return idx[~dominated], idx[dominated]

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 from scipy.spatial.distance import cdist
 
 
@@ -20,7 +19,9 @@ def igd(pf_samples, population) -> float:
     P = np.atleast_2d(np.asarray(population, dtype=float))
     if len(S) == 0 or len(P) == 0:
         raise ValueError("igd needs nonempty sample and population sets")
-    return float(cdist(S, P).min(axis=1).mean())
+    # sqrt is monotone and correctly rounded, so taking it after the row
+    # minimum gives the same bits as the minimum of Euclidean distances
+    return float(np.sqrt(cdist(S, P, "sqeuclidean").min(axis=1)).mean())
 
 
 @dataclass(frozen=True)
@@ -74,6 +75,10 @@ def confidence_trajectory(sample_times, igd_per_run, level: float = 0.95) -> Tra
     logs = np.log(values)
     center = logs.mean(axis=0)
     sem = logs.std(axis=0, ddof=1) / np.sqrt(runs)
+    # imported here: scipy.stats takes most of the package's import time
+    # and nothing else reads it
+    from scipy import stats
+
     half = stats.t.ppf(0.5 + level / 2.0, df=runs - 1) * sem
     return Trajectory(
         sample_times,

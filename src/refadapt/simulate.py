@@ -220,22 +220,26 @@ def run_scenario(
     """Adapt the archive to one scenario until the active count settles.
 
     Each iteration recomputes the active set from the scenario points and
-    runs one adaptation attempt; a "none" event means the count sits in
-    the tolerance band and the loop stops. Hitting the iteration cap is
-    reported as non-converged.
+    runs one adaptation attempt. A "none" event leaves the archive
+    unchanged, so a retry would repeat it and the loop stops; the run has
+    converged only if the count then sits in the tolerance band, not when
+    a guard (density cap, lattice or association size) refused a shrink.
+    Hitting the iteration cap is reported as non-converged.
     """
     points = scenario.points()
     events: list[AdaptationEvent] = []
-    converged = False
     for it in range(1, max_iters + 1):
         active = active_set(points, archive)
         _, event = adapt(archive, active, params, generation=it)
         events.append(event)
         if event.kind == "none":
-            converged = True
             break
-    # a "none" event left the archive as the last count saw it
-    n_active = len(active if converged else active_set(points, archive))
+    else:
+        # the last attempt (if any) changed the archive: count again
+        active = active_set(points, archive)
+    n_active = len(active)
+    low, high = params.band
+    converged = bool(events) and events[-1].kind == "none" and low <= n_active <= high
     return ScenarioReport(
         name=scenario.name,
         converged=converged,

@@ -3,12 +3,15 @@
 Everything here is deliberately written with plain Python scalars and
 loops, separate from the vectorized library code, so the two can be
 compared output for output. The only shared contract is the documented
-tie-breaking (lowest index, pool order) and random draw order.
+tie-breaking (lowest index, pool order) and random draw order. The
+exceptions are earlier vectorized forms of library functions, kept
+verbatim so that faster rewrites can be checked against them bit for bit.
 """
 
 import math
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 
 # ---------------------------------------------------------------------------
@@ -27,6 +30,16 @@ def frontier_split_oracle(pool):
     ]
     rest = [i for i in range(n) if i not in frontier]
     return frontier, rest
+
+
+def nondominated_split_oracle(objs):
+    """The split as one (n, n, M) comparison tensor reduced over objectives;
+    returns (frontier, dominated) index arrays."""
+    objs = np.asarray(objs, dtype=float)
+    le = np.all(objs[:, None, :] <= objs[None, :, :], axis=2)
+    dominated = (le & ~le.T).any(axis=0)
+    idx = np.arange(len(objs))
+    return idx[~dominated], idx[dominated]
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +232,13 @@ def igd_oracle(samples, population) -> float:
                 best = dist
         total += best
     return total / len(samples)
+
+
+def igd_oracle_cdist(samples, population) -> float:
+    """IGD as the mean of the row minima of the Euclidean distance matrix."""
+    S = np.atleast_2d(np.asarray(samples, dtype=float))
+    P = np.atleast_2d(np.asarray(population, dtype=float))
+    return float(cdist(S, P).min(axis=1).mean())
 
 
 def igd_schedule_oracle(n, max_evals, sample_points):

@@ -12,7 +12,7 @@ from refadapt.core import (
     update_ideal,
 )
 
-from oracles import frontier_split_oracle
+from oracles import frontier_split_oracle, nondominated_split_oracle
 
 
 class TestDominates:
@@ -125,6 +125,26 @@ class TestNondominatedSplit:
             of, orest = frontier_split_oracle(pool.tolist())
             assert front.tolist() == of
             assert rest.tolist() == orest
+
+    def test_bit_equal_to_tensor_oracle(self):
+        # pools of 0-400 rows and 0-8 objectives; every other pool is
+        # rounded so rows tie exactly, and every third gets NaN or +-inf
+        # rows, which compare false (NaN) or tie (inf) in every column
+        rng = np.random.default_rng(11)
+        shapes = [(0, 3), (5, 0), (0, 0), (1, 1), (400, 8), (400, 2), (350, 5)]
+        shapes += [(int(rng.integers(0, 401)), int(rng.integers(0, 9))) for _ in range(53)]
+        for t, (n, m) in enumerate(shapes):
+            pool = rng.uniform(0, 4, (n, m))
+            if t % 2:
+                pool = np.round(pool)
+            if t % 3 == 0 and n and m:
+                rows = rng.choice(n, size=min(n, 4), replace=False)
+                cols = rng.integers(0, m, size=len(rows))
+                pool[rows, cols] = [np.nan, np.inf, -np.inf, np.nan][: len(rows)]
+            got = nondominated_split(pool)
+            want = nondominated_split_oracle(pool)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and np.array_equal(g, w), (t, n, m)
 
     def test_partition_properties(self):
         rng = np.random.default_rng(6)

@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from refadapt.metrics import Trajectory, confidence_trajectory, igd, stability
 
-from oracles import igd_oracle
+from oracles import igd_oracle, igd_oracle_cdist
 
 
 class TestIgd:
@@ -29,6 +34,20 @@ class TestIgd:
             lib = igd(S, P)
             ora = igd_oracle(S.tolist(), P.tolist())
             assert lib == pytest.approx(ora, rel=1e-12)
+
+    def test_bit_equal_to_distance_matrix_oracle(self):
+        # random, integer-rounded and duplicated sets, populations of one row
+        rng = np.random.default_rng(3)
+        for t in range(120):
+            m = int(rng.integers(1, 7))
+            S = rng.uniform(0, 1, (int(rng.integers(1, 300)), m))
+            P = rng.uniform(0, 1, (1 if t % 5 == 0 else int(rng.integers(1, 130)), m))
+            if t % 3 == 1:
+                S, P = np.round(4 * S), np.round(4 * P)
+            elif t % 3 == 2:
+                P = np.vstack([P, P[rng.integers(0, len(P), len(P))]])
+                S = np.vstack([S, P[: len(P) // 2]])
+            assert igd(S, P) == igd_oracle_cdist(S, P), t
 
     def test_monotone_under_population_growth(self):
         rng = np.random.default_rng(1)
@@ -117,3 +136,14 @@ class TestStability:
         object.__setattr__(traj, "upper", zeros)
         with pytest.raises(ValueError):
             stability(traj)
+
+
+def test_import_leaves_scipy_stats_out():
+    # scipy.stats is most of the package's import time; only
+    # confidence_trajectory reads it, and imports it on first use
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    code = "import sys, refadapt; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"

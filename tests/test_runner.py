@@ -200,9 +200,11 @@ class TestIgdSchedule:
 
 
 # sha256 of (final_population.csv, individual_archive.csv, events.jsonl)
-# per seed, recorded for MaF1 with M=3, N=40, 8000 evaluations and w=10;
-# the runs shrink and log "none" events without reaching any guard. IGD
-# files are left out: IGD can differ in the last ulp across machines.
+# per seed, recorded for MaF1 with M=3, N=40, 8000 evaluations and w=10,
+# and for DTLZ2 with M=5, N=35, 6000 evaluations and w=10 ("dtlz2_m5");
+# the runs shrink, expand (M=5) and log "none" events without reaching any
+# guard. IGD files are left out: IGD can differ in the last ulp across
+# machines.
 PINNED = {
     "full": {
         1: ("f6def6c8b12c692385172b2031a0b070d2c336b912c3933e0347136eb1a51edd",
@@ -228,14 +230,25 @@ PINNED = {
             "a61ce295f2b1b81d21417b85590491b70aea5807b2d55b4460646d864a56b7f6",
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     },
+    "dtlz2_m5": {
+        1: ("849a158d0c8e0e20883f9d9947feac79f7875a0d305cc207d0c7be8191c8442b",
+            "990525d36f3d1babfd66d580fc5cdc847f06181f5b9e3468f507ed1a44785182",
+            "f185e2950ad8d048551268003592ff390992465087e3e3d29fd63368517603c6"),
+        2: ("e37f82f80e2ac6810c1fb3e5e2c5e94d8eb7ee35e9b66b2df72c95126555b794",
+            "a1e41206adceba7964ee45ac476ed0f00bfea0b6d683d5c2ca7b356370620e34",
+            "fc998a2586730845573fa0efc7072f70b629122f2bd41cca119495d569a0b7f7"),
+    },
 }
 
 
 @pytest.mark.parametrize("variant", sorted(PINNED))
 def test_outputs_pinned(tmp_path, variant):
-    cfg = RunConfig(problem="maf1", m=3, n=40, max_evals=8000, w=10, seeds=(1, 2),
-                    out_dir=str(tmp_path), use_ia=variant != "no_ia",
-                    adapt_refs=variant != "fixed_z")
+    if variant == "dtlz2_m5":
+        problem = dict(problem="dtlz2", m=5, n=35, max_evals=6000)
+    else:
+        problem = dict(problem="maf1", m=3, n=40, max_evals=8000)
+    cfg = RunConfig(**problem, w=10, seeds=(1, 2), out_dir=str(tmp_path),
+                    use_ia=variant != "no_ia", adapt_refs=variant != "fixed_z")
     experiment(cfg)
     for seed, digests in PINNED[variant].items():
         files = ("final_population.csv", "individual_archive.csv", "events.jsonl")

@@ -93,6 +93,15 @@ class TestRunScenario:
         assert any(e.kind == "expand" for e in report.events)
         assert 20 <= report.n_active <= 28
 
+    def test_guarded_shrink_is_not_converged(self):
+        # the density cap forbids the shrink the partial arc asks for: the
+        # loop stops on the "none" event, below the band
+        params = AdaptationParams(n=24, theta=0.2, density_cap_factor=1)
+        report = run_scenario(partial_arc_scenario(), fresh(), params)
+        assert [e.kind for e in report.events] == ["none"]
+        assert report.n_active < 19.2
+        assert not report.converged
+
     def test_converged_rerun_is_a_fixed_point(self):
         archive = fresh()
         sc = default_scenarios()[0]
