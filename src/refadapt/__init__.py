@@ -8,7 +8,15 @@ that set to follow the directional footprint of the tracked Pareto front.
 
 from .adaptation import AdaptationEvent, AdaptationParams, adapt
 from .archive import IndividualArchive, maintain
-from .core import angle, angle_matrix, associate, dominates, nondominated_split, update_ideal
+from .core import (
+    angle,
+    angle_matrix,
+    associate,
+    dominates,
+    nearest,
+    nondominated_split,
+    update_ideal,
+)
 from .metrics import Trajectory, confidence_trajectory, igd, stability
 from .problems import ProblemSpec, available_problems, make_problem
 from .reference import (
@@ -74,6 +82,7 @@ __all__ = [
     "maintain",
     "make_offspring",
     "make_problem",
+    "nearest",
     "nondominated_split",
     "partial_arc_scenario",
     "pdm",

@@ -45,6 +45,23 @@ def nondominated_split(objs) -> tuple[np.ndarray, np.ndarray]:
     return idx[~dominated], idx[dominated]
 
 
+def _cosines(P, Q) -> tuple[np.ndarray, np.ndarray]:
+    """Cosines between point rows and target rows, and the nonzero-point mask.
+
+    Rows of zero-norm points are left as raw dot products; callers
+    overwrite them. Zero-norm targets are rejected.
+    """
+    pn = np.linalg.norm(P, axis=1)
+    qn = np.linalg.norm(Q, axis=1)
+    if np.any(qn == 0.0):
+        raise ValueError("target directions must have nonzero norm")
+    nz = pn > 0.0
+    cos = P @ Q.T
+    cos /= qn[None, :]
+    cos /= np.where(nz, pn, 1.0)[:, None]
+    return cos, nz
+
+
 def angle_matrix(points, targets) -> np.ndarray:
     """Pairwise angles in radians between point rows and target rows.
 
@@ -55,14 +72,7 @@ def angle_matrix(points, targets) -> np.ndarray:
     """
     P = np.atleast_2d(np.asarray(points, dtype=float))
     Q = np.atleast_2d(np.asarray(targets, dtype=float))
-    pn = np.linalg.norm(P, axis=1)
-    qn = np.linalg.norm(Q, axis=1)
-    if np.any(qn == 0.0):
-        raise ValueError("target directions must have nonzero norm")
-    cos = P @ Q.T
-    cos /= qn[None, :]
-    nz = pn > 0.0
-    cos[nz] /= pn[nz, None]
+    cos, nz = _cosines(P, Q)
     ang = np.arccos(np.clip(cos, -1.0, 1.0))
     ang[~nz] = 0.0
     return ang
@@ -75,16 +85,55 @@ def angle(o, z) -> float:
     return float(angle_matrix(o[None, :], z[None, :])[0, 0])
 
 
-def associate(points, targets) -> np.ndarray:
-    """Index of the angularly nearest target for every point row.
+# Cosines this close to a row's largest cosine are compared by their
+# angles. arccos has slope magnitude at least 1 and errs by about an ulp,
+# so any other cosine gives a strictly larger angle.
+_NEAR_TIE = 1e-12
 
-    Ties break toward the lowest target index so that association is
-    deterministic across runs and platforms.
+
+def nearest(points, targets) -> tuple[np.ndarray, np.ndarray]:
+    """Index of, and angle to, the angularly nearest target of every point row.
+
+    Equals the row-wise ``argmin`` of :func:`angle_matrix` and the angle
+    there, bit for bit, without taking the arccos of the whole matrix: the
+    pick is the largest cosine, and only a row whose largest cosine has
+    rivals within 1e-12 compares those rivals by their arccos. Ties break
+    toward the lowest target index; a zero-norm point gets index 0 and
+    angle 0.
     """
+    P = np.atleast_2d(np.asarray(points, dtype=float))
     Q = np.atleast_2d(np.asarray(targets, dtype=float))
     if Q.shape[0] == 0:
         raise ValueError("cannot associate against an empty target set")
-    return np.argmin(angle_matrix(points, Q), axis=1)
+    cos, nz = _cosines(P, Q)
+    rows = np.arange(len(P))
+    index = np.argmax(cos, axis=1)
+    # (row, column) of every cosine near its row's largest, columns ascending
+    r, c = np.divmod(np.flatnonzero(cos >= (cos[rows, index] - _NEAR_TIE)[:, None]), len(Q))
+    rival = np.bincount(r, minlength=len(P))[r] > 1
+    if rival.any():
+        r, c = r[rival], c[rival]
+        # by row, then angle; the stable sort keeps the lowest column first
+        order = np.lexsort((np.arccos(np.clip(cos[r, c], -1.0, 1.0)), r))
+        r, c = r[order], c[order]
+        first = np.r_[True, r[1:] != r[:-1]]
+        index[r[first]] = c[first]
+    index[~nz] = 0
+    ang = np.arccos(np.clip(cos[rows, index], -1.0, 1.0))
+    ang[~nz] = 0.0
+    return index, ang
+
+
+def associate(points, targets) -> np.ndarray:
+    """Index of the angularly nearest target for every point row.
+
+    The row-wise ``argmin`` of :func:`angle_matrix`, computed by
+    :func:`nearest`: the largest cosine wins unless rivals lie within
+    1e-12 of it, which are then compared by angle. Ties break toward the
+    lowest target index so that association is deterministic across runs
+    and platforms.
+    """
+    return nearest(points, targets)[0]
 
 
 def update_ideal(objs, current=None) -> np.ndarray:

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
+from scipy.special import stdtrit
 
 
 def igd(pf_samples, population) -> float:
@@ -75,11 +76,7 @@ def confidence_trajectory(sample_times, igd_per_run, level: float = 0.95) -> Tra
     logs = np.log(values)
     center = logs.mean(axis=0)
     sem = logs.std(axis=0, ddof=1) / np.sqrt(runs)
-    # imported here: scipy.stats takes most of the package's import time
-    # and nothing else reads it
-    from scipy import stats
-
-    half = stats.t.ppf(0.5 + level / 2.0, df=runs - 1) * sem
+    half = stdtrit(runs - 1, 0.5 + level / 2.0) * sem
     return Trajectory(
         sample_times,
         np.exp(center),

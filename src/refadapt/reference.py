@@ -22,9 +22,10 @@ from .core import associate
 # exhausting memory on absurd (M, H) combinations.
 MAX_LATTICE_POINTS = 5_000_000
 
-# Ceiling on the (new x stored) angle matrix built to associate a new
-# layer: 2**25 pairs are 256 MiB per float64 matrix, and the association
-# holds about three such matrices at once.
+# Ceiling on the (new x stored) pairs compared to associate a new layer:
+# the association holds one float64 cosine matrix and one bool matrix at
+# once, 288 MiB at 2**25 pairs. The value is kept from when it held three
+# float matrices, since moving it would change which shrinks run.
 MAX_ASSOCIATION_PAIRS = 2**25
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .core import angle_matrix, nondominated_split
+from .core import angle_matrix, nearest, nondominated_split
 
 
 @dataclass(frozen=True)
@@ -77,10 +77,9 @@ def cascade_cluster(objs, directions, n_select: int, ideal) -> SelectionResult:
 
     # frontier attachment activates reference vectors; clusters are
     # numbered by ascending direction index
-    ang = angle_matrix(translated[frontier], Z)
-    activation = np.argmin(ang, axis=1)
+    activation, ang = nearest(translated[frontier], Z)
     active, cluster = np.unique(activation, return_inverse=True)
-    scores = translated[frontier].mean(axis=1) + np.sin(ang[np.arange(len(frontier)), activation])
+    scores = translated[frontier].mean(axis=1) + np.sin(ang)
     counts = np.bincount(cluster)
     centers = frontier[np.lexsort((scores, cluster))[np.cumsum(counts) - counts]]
 

@@ -263,18 +263,33 @@ def enabled_point_keys(archive: ReferenceArchive) -> frozenset:
     """
     keys = set()
     for layer in archive.live_layers():
-        for row in layer.coords[layer.enabled].tolist():
-            g = math.gcd(layer.h, *row)
-            keys.add(tuple(c // g for c in row) + (layer.h // g,))
+        enabled = layer.coords[layer.enabled]
+        rows = np.column_stack([enabled, np.full(len(enabled), layer.h)])
+        rows //= np.gcd.reduce(rows, axis=1)[:, None]
+        keys.update(map(tuple, rows.tolist()))
     return frozenset(keys)
 
 
-def similarity_pct(a: frozenset, b: frozenset) -> float:
-    """Percentage of identically enabled points: |A & B| / |A | B| * 100."""
-    union = a | b
-    if not union:
-        return 100.0
-    return 100.0 * len(a & b) / len(union)
+def similarity_matrix(sets) -> np.ndarray:
+    """Percentage of identically enabled points of every ordered pair of key sets.
+
+    Entry (a, b) is ``100.0 * |A & B| / |A | B|``, or 100.0 when both sets
+    are empty. Each key is numbered once, and the intersection sizes are
+    the product of a 0/1 (sets x keys) membership matrix with its
+    transpose; the counts are exact, so every entry has the bits of the
+    same formula evaluated on Python integers.
+    """
+    number: dict = {}
+    member = [[number.setdefault(key, len(number)) for key in s] for s in sets]
+    B = np.zeros((len(sets), len(number)))
+    for row, cols in enumerate(member):
+        B[row, cols] = 1.0
+    inter = B @ B.T
+    sizes = B.sum(axis=1)
+    union = sizes[:, None] + sizes[None, :] - inter
+    mat = np.full(inter.shape, 100.0)
+    np.divide(100.0 * inter, union, out=mat, where=union > 0)
+    return mat
 
 
 @dataclass
@@ -344,14 +359,9 @@ def permutation_similarity(
     matrices: dict[str, np.ndarray] = {}
     means: dict[str, float] = {}
     for i, scenario in enumerate(scenarios):
-        sets = snapshots[i]
-        p = len(sets)
-        mat = np.empty((p, p))
-        for a in range(p):
-            for b in range(p):
-                mat[a, b] = similarity_pct(sets[a], sets[b])
+        mat = similarity_matrix(snapshots[i])
         matrices[scenario.name] = mat
-        off_diag = mat[~np.eye(p, dtype=bool)]
+        off_diag = mat[~np.eye(len(mat), dtype=bool)]
         means[scenario.name] = float(off_diag.mean()) if len(off_diag) else 100.0
 
     return PermutationReport(

@@ -57,16 +57,26 @@ def angle_oracle(o, z) -> float:
     return math.acos(max(-1.0, min(1.0, c)))
 
 
+def angle_matrix_oracle(points, targets):
+    """The angle matrix with a masked divide and a whole-matrix arccos."""
+    P = np.atleast_2d(np.asarray(points, dtype=float))
+    Q = np.atleast_2d(np.asarray(targets, dtype=float))
+    pn = np.linalg.norm(P, axis=1)
+    qn = np.linalg.norm(Q, axis=1)
+    if np.any(qn == 0.0):
+        raise ValueError("target directions must have nonzero norm")
+    cos = P @ Q.T
+    cos /= qn[None, :]
+    nz = pn > 0.0
+    cos[nz] /= pn[nz, None]
+    ang = np.arccos(np.clip(cos, -1.0, 1.0))
+    ang[~nz] = 0.0
+    return ang
+
+
 def associate_oracle(points, targets):
-    out = []
-    for p in points:
-        angles = [angle_oracle(p, t) for t in targets]
-        best = 0
-        for k in range(1, len(targets)):
-            if angles[k] < angles[best]:
-                best = k
-        out.append(best)
-    return out
+    """Association as the row-wise argmin of the whole angle matrix."""
+    return np.argmin(angle_matrix_oracle(points, targets), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +342,27 @@ def brute_force_density_active(points, n, theta, m=2, cap_factor=64):
         if count >= (1.0 - theta) * n or h >= cap_factor * h0:
             return count
         h *= 2
+
+
+def enabled_point_keys_oracle(archive):
+    """Enabled points of the live layers reduced one row at a time by math.gcd."""
+    keys = set()
+    for layer in archive.live_layers():
+        for row in layer.coords[layer.enabled].tolist():
+            g = math.gcd(layer.h, *row)
+            keys.add(tuple(c // g for c in row) + (layer.h // g,))
+    return frozenset(keys)
+
+
+def similarity_matrix_oracle(sets):
+    """|A & B| / |A | B| * 100 of every ordered pair, one set operation each."""
+    p = len(sets)
+    mat = np.empty((p, p))
+    for a in range(p):
+        for b in range(p):
+            union = sets[a] | sets[b]
+            mat[a, b] = 100.0 * len(sets[a] & sets[b]) / len(union) if union else 100.0
+    return mat
 
 
 def random_instance(rng, m, pool_max=30, z_max=12):

@@ -8,11 +8,20 @@ from refadapt.core import (
     angle_matrix,
     associate,
     dominates,
+    nearest,
     nondominated_split,
     update_ideal,
 )
 
-from oracles import frontier_split_oracle, nondominated_split_oracle
+from refadapt.reference import simplex_lattice
+from refadapt.simulate import default_scenarios
+
+from oracles import (
+    angle_matrix_oracle,
+    associate_oracle,
+    frontier_split_oracle,
+    nondominated_split_oracle,
+)
 
 
 class TestDominates:
@@ -96,6 +105,84 @@ class TestAssociate:
         scales = rng.uniform(0.01, 50, 40)[:, None]
         base = associate(points, targets)
         assert np.array_equal(base, associate(points * scales, targets))
+
+
+def assert_nearest_matches_oracle(points, targets):
+    """nearest and associate equal the argmin of the whole angle matrix, bit for bit."""
+    ang = angle_matrix_oracle(points, targets)
+    want = associate_oracle(points, targets)
+    index, got = nearest(points, targets)
+    assert np.array_equal(index, want)
+    assert np.array_equal(associate(points, targets), want)
+    assert np.array_equal(got, ang[np.arange(len(ang)), want], equal_nan=True)
+    assert np.array_equal(angle_matrix(points, targets), ang, equal_nan=True)
+
+
+class TestNearest:
+    def test_scenario_points_against_lattice_subsets(self):
+        rng = np.random.default_rng(11)
+        points = np.vstack([s.points() for s in default_scenarios()])
+        for h in (12, 23, 48, 96, 192):
+            lattice = simplex_lattice(2, h) / float(h)
+            for _ in range(4):
+                keep = rng.random(len(lattice)) < rng.uniform(0.1, 1.0)
+                keep[rng.integers(len(lattice))] = True
+                assert_nearest_matches_oracle(points, lattice[keep])
+
+    @pytest.mark.parametrize("m, h", [(2, 64), (3, 16), (4, 8), (5, 8), (6, 4), (7, 4), (8, 2)])
+    def test_new_layer_against_stored_lattice(self, m, h):
+        # the association a new layer is built with: many exact and near ties
+        lattice = simplex_lattice(m, 2 * h)
+        new = lattice[(lattice % 2).any(axis=1)] / float(2 * h)
+        assert_nearest_matches_oracle(new, simplex_lattice(m, h) / float(h))
+
+    def test_bisector_points(self):
+        # Q[i] + Q[j] lies at the same angle from both ends
+        for m, h in ((2, 30), (3, 9), (5, 4)):
+            Q = simplex_lattice(m, h) / float(h)
+            i, j = np.triu_indices(len(Q), k=1)
+            assert_nearest_matches_oracle(Q[i] + Q[j], Q)
+
+    def test_zero_norm_nan_and_exact_tie_rows(self):
+        Q = np.array([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0], [0.5, 0.5]])
+        P = np.array([
+            [0.0, 0.0],
+            [np.nan, 1.0],
+            [1.0, 1.0],          # exactly on the duplicated target
+            [1.0, 0.0],
+            [3.0, 3.0],
+            [1e-200, 0.0],       # norm underflows to zero
+            [2.0, 1.0],
+        ])
+        assert_nearest_matches_oracle(P, Q)
+        index, ang = nearest(P, Q)
+        assert index[:3].tolist() == [0, 0, 1] and ang[0] == 0.0 and ang[1] == 0.0
+        assert_nearest_matches_oracle(P[:3], np.array([[np.nan, 1.0], [1.0, 1.0]]))
+
+    def test_one_ulp_near_tie_takes_lowest_index(self):
+        # the three cosines differ in the last bits but round to one angle:
+        # the largest cosine is column 2, the smallest angle first reached
+        # at column 1
+        P = np.array([[1.0, 0.0]])
+        Q = np.array([[np.nextafter(0.1, 0), 1.0], [0.1, 1.0], [np.nextafter(0.1, 1), 1.0]])
+        assert associate_oracle(P, Q).tolist() == [1]
+        assert associate(P, Q).tolist() == [1]
+        assert_nearest_matches_oracle(P, Q)
+
+    def test_random_rows_and_shapes(self):
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            m = int(rng.integers(2, 7))
+            P = rng.uniform(-0.2, 1.0, (int(rng.integers(0, 60)), m))
+            Q = rng.uniform(0.01, 1.0, (int(rng.integers(1, 40)), m))
+            if rng.random() < 0.5:
+                P = np.round(P * 4) / 4
+                Q = np.round(Q * 4) / 4 + 0.25
+            assert_nearest_matches_oracle(P, Q)
+
+    def test_empty_targets_rejected(self):
+        with pytest.raises(ValueError):
+            nearest([[1, 0]], np.empty((0, 2)))
 
 
 class TestNondominatedSplit:

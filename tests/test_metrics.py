@@ -138,12 +138,36 @@ class TestStability:
             stability(traj)
 
 
-def test_import_leaves_scipy_stats_out():
-    # scipy.stats is most of the package's import time; only
-    # confidence_trajectory reads it, and imports it on first use
+def loads_scipy_stats(code: str) -> bool:
     paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    code = "import sys, refadapt; print('scipy.stats' in sys.modules)"
+    code += "; print('scipy.stats' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip().splitlines()[-1] == "True"
+
+
+def test_import_leaves_scipy_stats_out():
+    # scipy.stats is most of the package's import time and nothing reads it
+    assert not loads_scipy_stats("import sys, refadapt")
+
+
+def test_multi_seed_experiment_leaves_scipy_stats_out():
+    # the confidence interval's Student-t quantile comes from scipy.special
+    code = ("import sys; from refadapt.runner import RunConfig, experiment; "
+            "r = experiment(RunConfig(problem='dtlz2', m=3, n=20, max_evals=1500, "
+            "igd_samples=400, sample_points=11, seeds=(1, 2))); "
+            "assert len(r.records) == 2 and r.trajectory is not None")
+    assert not loads_scipy_stats(code)
+
+
+def test_t_quantile_equals_scipy_stats():
+    from scipy import stats
+
+    for runs in (2, 3, 5, 10, 30, 200):
+        values = np.exp(np.random.default_rng(runs).normal(size=(runs, 4)))
+        traj = confidence_trajectory(np.arange(4), values, level=0.9)
+        logs = np.log(values)
+        sem = logs.std(axis=0, ddof=1) / np.sqrt(runs)
+        half = stats.t.ppf(0.95, df=runs - 1) * sem
+        assert np.array_equal(traj.upper, np.exp(logs.mean(axis=0) + half))

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from refadapt.core import dominates
+import refadapt.selection as selection_mod
+from refadapt.core import dominates, nondominated_split
 from refadapt.selection import cascade_cluster, pdm
 
-from oracles import cascade_cluster_oracle, random_instance
+from oracles import angle_matrix_oracle, cascade_cluster_oracle, random_instance
 
 
 class TestPdm:
@@ -87,6 +88,36 @@ class TestCascadeCluster:
             assert res.selected.tolist() == sel
             assert res.active.tolist() == act
             assert res.centers.tolist() == cen
+
+    def test_attachment_angles_equal_whole_angle_matrix(self, monkeypatch):
+        # the activation, angles and pdm scores cascade_cluster ranks by
+        # equal the argmin of the whole angle matrix and the angle there,
+        # bit for bit, on the same widened instances as above
+        calls = []
+        original = selection_mod.nearest
+
+        def recorded(points, targets):
+            calls.append((points, targets, *original(points, targets)))
+            return calls[-1][2:]
+
+        monkeypatch.setattr(selection_mod, "nearest", recorded)
+        rng = np.random.default_rng(42)
+        for trial in range(120):
+            m = int(rng.integers(2, 6))
+            pool, Z, n_select, ideal = random_instance(rng, m, pool_max=16, z_max=6)
+            if trial % 2 == 0:
+                pool = np.round(pool)
+                ideal = pool.min(axis=0)
+            cascade_cluster(pool, Z, int(rng.integers(1, 3 * len(pool) + 1)), ideal)
+            points, targets, activation, ang = calls[-1]
+            front = nondominated_split(pool)[0]
+            assert np.array_equal(points, pool[front] - ideal)
+            full = angle_matrix_oracle(points, targets)
+            rows = np.arange(len(front))
+            assert np.array_equal(activation, np.argmin(full, axis=1))
+            assert np.array_equal(ang, full[rows, activation])
+            scores = points.mean(axis=1) + np.sin(ang)
+            assert np.array_equal(scores, points.mean(axis=1) + np.sin(full[rows, activation]))
 
 
 class TestInvariants:

@@ -6,6 +6,7 @@ import pytest
 from refadapt.adaptation import AdaptationParams
 from refadapt.core import nondominated_split
 from refadapt.reference import ReferenceArchive
+import refadapt.simulate as simulate_mod
 from refadapt.simulate import (
     ArcSegment,
     LineSegment,
@@ -20,10 +21,14 @@ from refadapt.simulate import (
     quarter_circle_scenario,
     run_scenario,
     save_scenarios,
-    similarity_pct,
+    similarity_matrix,
 )
 
-from oracles import brute_force_density_active
+from oracles import (
+    brute_force_density_active,
+    enabled_point_keys_oracle,
+    similarity_matrix_oracle,
+)
 
 PARAMS = AdaptationParams(n=24, theta=0.2)
 
@@ -132,15 +137,73 @@ class TestRunScenario:
 class TestSimilarity:
     def test_identical_sets(self):
         a = frozenset({(1, 2, 3)})
-        assert similarity_pct(a, a) == 100.0
+        assert np.all(similarity_matrix([a, a]) == 100.0)
+        assert np.all(similarity_matrix([frozenset(), frozenset()]) == 100.0)
 
     def test_disjoint_sets(self):
-        assert similarity_pct(frozenset({(1,)}), frozenset({(2,)})) == 0.0
+        mat = similarity_matrix([frozenset({(1,)}), frozenset({(2,)})])
+        assert mat.tolist() == [[100.0, 0.0], [0.0, 100.0]]
 
     def test_partial_overlap(self):
         a = frozenset({(1,), (2,), (3,)})
         b = frozenset({(2,), (3,), (4,)})
-        assert similarity_pct(a, b) == pytest.approx(50.0)
+        assert similarity_matrix([a, b])[0, 1] == pytest.approx(50.0)
+
+
+class TestEnabledKeys:
+    def test_equal_to_gcd_loop_on_random_layer_stacks(self):
+        # random enabled masks over up to four live layers at M=2..4;
+        # a point shared by two densities must map to one key
+        rng = np.random.default_rng(3)
+        for m, n in ((2, 10), (2, 24), (3, 15), (4, 10)):
+            archive = ReferenceArchive.initialize(m, n)
+            for _ in range(3):
+                archive.layers.append(archive.new_layer())
+            for trial in range(6):
+                archive.live_count = int(rng.integers(1, len(archive.layers) + 1))
+                for layer in archive.layers:
+                    layer.enabled = rng.random(len(layer)) < trial / 5.0
+                keys = enabled_point_keys(archive)
+                assert isinstance(keys, frozenset)
+                assert keys == enabled_point_keys_oracle(archive)
+
+    def test_equal_to_gcd_loop_after_adaptation(self):
+        for n in (24, 96):
+            archive = ReferenceArchive.initialize(2, n)
+            for sc in default_scenarios():
+                run_scenario(sc, archive, AdaptationParams(n=n, theta=0.2))
+                assert enabled_point_keys(archive) == enabled_point_keys_oracle(archive)
+
+
+class TestSimilarityMatrix:
+    def test_equal_to_pairwise_loop_on_random_sets(self):
+        rng = np.random.default_rng(8)
+        universe = [(int(a), int(b), 7) for a, b in rng.integers(0, 9, (40, 2))]
+        for _ in range(20):
+            sets = []
+            for _ in range(int(rng.integers(0, 9))):
+                share = rng.uniform(0.0, 0.6)
+                sets.append(frozenset(k for k in universe if rng.random() < share))
+            sets += [frozenset()] * int(rng.integers(0, 2))
+            got = similarity_matrix(sets)
+            want = similarity_matrix_oracle(sets)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    def test_study_matrices_equal_pairwise_loop(self, monkeypatch):
+        snapshots = []
+
+        def recorded(archive):
+            snapshots.append(enabled_point_keys(archive))
+            return snapshots[-1]
+
+        monkeypatch.setattr(simulate_mod, "enabled_point_keys", recorded)
+        scenarios = default_scenarios()[:3]
+        report = permutation_similarity(scenarios, PARAMS, carry_over=True)
+        for i, sc in enumerate(scenarios):
+            # permutations visit every scenario once, in the report's order
+            sets = [snapshots[3 * p + perm.index(i)] for p, perm in enumerate(report.permutations)]
+            assert np.array_equal(report.matrices[sc.name], similarity_matrix_oracle(sets))
 
 
 class TestPermutations:
