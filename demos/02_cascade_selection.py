@@ -7,7 +7,7 @@ attachment, per-cluster ranking, and round-robin picking.
 """
 import numpy as np
 
-from refadapt import cascade_cluster, nondominated_split, pdm, update_ideal
+from refadapt import angle_matrix, cascade_cluster, nondominated_split, update_ideal
 
 pool = np.array([
     [0.2, 1.8],   # frontier, near the f2 axis
@@ -25,8 +25,11 @@ ideal = update_ideal(pool)
 front, rest = nondominated_split(pool)
 print("frontier:", front.tolist(), " dominated:", rest.tolist())
 
+# pdm: mean of the ideal-translated objectives plus the sine of the angle
+# to the direction; lower is better
 for i in front:
-    scores = [pdm(pool[i], z, ideal) for z in Z]
+    t = pool[i] - ideal
+    scores = t.mean() + np.sin(angle_matrix(t[None, :], Z)[0])
     print(f"candidate {i} {pool[i]}: pdm per direction = "
           + ", ".join(f"{s:.3f}" for s in scores))
 

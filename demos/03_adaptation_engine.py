@@ -28,7 +28,7 @@ def drive(scenario, label):
     print(f"\n--- {label}")
     points = scenario.points()
     for step in range(1, 10):
-        active = active_set(points, archive)
+        active = active_set(points, archive.participating()[0])
         _, event = adapt(archive, active, params, generation=step)
         layers = [f"H={l.h}:{int(l.enabled.sum())}" for l in archive.live_layers()]
         print(f"step {step}: active={len(active):3d} -> {event.kind:6s} "

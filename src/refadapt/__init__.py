@@ -9,10 +9,8 @@ that set to follow the directional footprint of the tracked Pareto front.
 from .adaptation import AdaptationEvent, AdaptationParams, adapt
 from .archive import IndividualArchive, maintain
 from .core import (
-    angle,
     angle_matrix,
     associate,
-    dominates,
     nearest,
     nondominated_split,
     update_ideal,
@@ -27,7 +25,7 @@ from .reference import (
     simplex_lattice,
 )
 from .runner import ConfigError, ExperimentResult, RunConfig, RunRecord, experiment, run
-from .selection import SelectionResult, cascade_cluster, pdm
+from .selection import SelectionResult, cascade_cluster
 from .simulate import (
     ArcSegment,
     LineSegment,
@@ -66,14 +64,12 @@ __all__ = [
     "Trajectory",
     "VariationParams",
     "adapt",
-    "angle",
     "angle_matrix",
     "associate",
     "available_problems",
     "cascade_cluster",
     "confidence_trajectory",
     "default_scenarios",
-    "dominates",
     "experiment",
     "igd",
     "initial_density",
@@ -85,7 +81,6 @@ __all__ = [
     "nearest",
     "nondominated_split",
     "partial_arc_scenario",
-    "pdm",
     "permutation_similarity",
     "poly_mutate",
     "quarter_circle_scenario",

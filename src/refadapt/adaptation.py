@@ -20,22 +20,23 @@ from .reference import MAX_ASSOCIATION_PAIRS, MAX_LATTICE_POINTS, ReferenceArchi
 
 log = logging.getLogger(__name__)
 
+# A shrink never takes the top density past this multiple of the base
+# density.
+DENSITY_CAP_FACTOR = 64
+
 
 @dataclass(frozen=True)
 class AdaptationParams:
-    """Tolerance band and density cap for reference adaptation."""
+    """Tolerance band for reference adaptation."""
 
     n: int                       # population size the band is centred on
     theta: float = 0.2           # tolerance ratio in (0, 1)
-    density_cap_factor: int = 64 # top density never exceeds cap * base density
 
     def __post_init__(self):
         if not 0.0 < self.theta < 1.0:
             raise ValueError("tolerance ratio must lie in (0, 1)")
         if self.band[0] < 1.0:
             raise ValueError("tolerance band must keep at least one active vector")
-        if self.density_cap_factor < 1:
-            raise ValueError("density cap factor must be at least 1")
 
     @property
     def band(self) -> tuple[float, float]:
@@ -79,15 +80,13 @@ def adapt(
     requested subroutine, nothing changes and the event kind is "none".
     """
     active = np.asarray(active, dtype=np.int64)
-    _, layer_idx, row_idx = archive.participating()
-    if len(active) and (active.min() < 0 or active.max() >= len(layer_idx)):
+    stacked = archive.participating()[1]
+    if len(active) and (active.min() < 0 or active.max() >= len(stacked)):
         raise ValueError("active indices outside the participating set")
     # activity over the stacked live layers, the index space of a new
     # layer's ``assoc``
-    sizes = [len(layer) for layer in archive.live_layers()]
-    starts = np.cumsum([0] + sizes)
-    is_active = np.zeros(starts[-1], dtype=bool)
-    is_active[starts[layer_idx[active]] + row_idx[active]] = True
+    is_active = np.zeros(sum(len(layer) for layer in archive.live_layers()), dtype=bool)
+    is_active[stacked[active]] = True
     n_active = len(active)
     low, high = params.band
 
@@ -102,7 +101,7 @@ def adapt(
         builds = archive.live_count == len(archive.layers)
         stored = lattice_size(archive.m, archive.top_h)
         new = lattice_size(archive.m, target_h) - stored
-        if target_h > params.density_cap_factor * archive.base_h:
+        if target_h > DENSITY_CAP_FACTOR * archive.base_h:
             log.warning(
                 "density cap reached (H=%d, base H=%d); shrink skipped",
                 archive.top_h, archive.base_h,
@@ -133,17 +132,15 @@ def adapt(
             # empty the archive
             log.debug("expand requested with only the base layer live; skipped")
         else:
-            top_pos = archive.live_count - 1
-            active_top = is_active[starts[top_pos]:]
-            top_dirs = archive.layers[top_pos].directions
-            # (lower x top) pairs, bounded as when the top layer was built
-            for li in range(top_pos):
-                lower_layer = archive.layers[li]
-                back = associate(lower_layer.directions, top_dirs)
-                lower_layer.enabled |= active_top[back]
             archive.live_count -= 1
+            top_dirs = archive.layers[archive.live_count].directions
+            bottom = len(is_active) - len(top_dirs)
+            # (lower x top) pairs, bounded as when the top layer was built
+            for lower_layer in archive.live_layers():
+                back = associate(lower_layer.directions, top_dirs)
+                lower_layer.enabled |= is_active[bottom:][back]
             kind = "expand"
-            active_after = int(is_active[: starts[top_pos]].sum())
+            active_after = int(is_active[:bottom].sum())
 
     directions = archive.participating()[0]
     event = AdaptationEvent(

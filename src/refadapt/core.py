@@ -11,19 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def dominates(a, b) -> bool:
-    """True iff objective vector ``a`` Pareto-dominates ``b``.
-
-    Dominance is element-wise <= with at least one strict <, compared
-    exactly (no epsilon).
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"objective vectors differ in length: {a.shape} vs {b.shape}")
-    return bool(np.all(a <= b) and np.any(a < b))
-
-
 def nondominated_split(objs) -> tuple[np.ndarray, np.ndarray]:
     """Split objective rows into (frontier, dominated) index arrays.
 
@@ -76,13 +63,6 @@ def angle_matrix(points, targets) -> np.ndarray:
     ang = np.arccos(np.clip(cos, -1.0, 1.0))
     ang[~nz] = 0.0
     return ang
-
-
-def angle(o, z) -> float:
-    """Angle in radians between a single objective vector and a direction."""
-    o = np.asarray(o, dtype=float)
-    z = np.asarray(z, dtype=float)
-    return float(angle_matrix(o[None, :], z[None, :])[0, 0])
 
 
 # Cosines this close to a row's largest cosine are compared by their

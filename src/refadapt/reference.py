@@ -10,7 +10,6 @@ new layers drop already-present points by parity.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -135,30 +134,23 @@ class ReferenceArchive:
     def live_layers(self) -> list[ReferenceLayer]:
         return self.layers[: self.live_count]
 
-    def participating(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def participating(self) -> tuple[np.ndarray, np.ndarray]:
         """Enabled vectors of the live layers.
 
-        Returns (directions (p, m), layer_index (p,), row_index (p,)) in
-        stack order, rows in lattice order, so participating indices are
-        stable between calls that do not mutate the archive.
+        Returns (directions (p, m), stacked (p,)): ``stacked`` indexes the
+        live layers' vectors stacked in layer order, enabled or not, which
+        is the index space of a new layer's ``assoc``. Rows keep stack
+        order, so participating indices are stable between calls that do
+        not mutate the archive.
         """
-        dirs, lis, rows = [], [], []
-        for li, layer in enumerate(self.live_layers()):
-            sel = np.flatnonzero(layer.enabled)
-            if len(sel):
-                dirs.append(layer.directions[sel])
-                lis.append(np.full(len(sel), li, dtype=np.int64))
-                rows.append(sel)
-        if not dirs:
+        live = self.live_layers()
+        stacked = np.flatnonzero(np.concatenate([layer.enabled for layer in live]))
+        if not len(stacked):
             raise ValueError("participating reference-vector set is empty")
-        return np.vstack(dirs), np.concatenate(lis), np.concatenate(rows)
+        return np.vstack([layer.directions for layer in live])[stacked], stacked
 
     def participating_count(self) -> int:
         return int(sum(layer.enabled.sum() for layer in self.live_layers()))
-
-    def stacked_directions(self, upto: int) -> np.ndarray:
-        """All vectors (enabled or not) of layers[0:upto], stacked."""
-        return np.vstack([layer.directions for layer in self.layers[:upto]])
 
     def new_layer(self) -> ReferenceLayer:
         """Construct the next, denser layer without attaching it.
@@ -172,7 +164,8 @@ class ReferenceArchive:
         h_new = 2 * self.layers[-1].h
         lattice = simplex_lattice(self.m, h_new)
         coords = lattice[(lattice % 2).any(axis=1)]
-        assoc = associate(coords / float(h_new), self.stacked_directions(len(self.layers)))
+        stored = np.vstack([layer.directions for layer in self.layers])
+        assoc = associate(coords / float(h_new), stored)
         return ReferenceLayer(
             h=h_new,
             coords=coords,
@@ -193,7 +186,3 @@ class ReferenceArchive:
                 for layer in self.live_layers()
             ],
         }
-
-    def dump_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)

@@ -93,27 +93,18 @@ class RunConfig:
 
 
 @dataclass
-class GenerationStats:
-    generation: int
-    eval_count: int
-    n_active: int
-    n_participating: int
-
-
-@dataclass
 class RunRecord:
     """Telemetry of one seeded run."""
 
     seed: int
     sample_times: np.ndarray           # (T,) evaluation counts
     igd_values: np.ndarray             # (T,)
-    generations: list[GenerationStats]
+    generations: np.ndarray            # (G,) evaluation counts at each generation's end
     events: list[AdaptationEvent]
     final_solutions: np.ndarray
     final_objectives: np.ndarray
     final_ia_objectives: np.ndarray
     final_igd: float
-    wall_time: float
 
 
 def run(config: RunConfig, seed: int, pf_samples: np.ndarray | None = None) -> RunRecord:
@@ -148,7 +139,6 @@ def run(config: RunConfig, seed: int, pf_samples: np.ndarray | None = None) -> R
     igd_values = np.empty(config.sample_points)
 
     igd_values[scorer == 0] = igd(pf_samples, F)    # times[0] = n, never at the budget
-    gen_stats: list[GenerationStats] = []
     events: list[AdaptationEvent] = []
     generation = 0
     stable = 0                  # generations in a row with the same active set
@@ -171,7 +161,6 @@ def run(config: RunConfig, seed: int, pf_samples: np.ndarray | None = None) -> R
         X, F = pool_X[result.selected], pool_F[result.selected]
         if config.use_ia:
             ia = maintain(ia, pool_X[result.centers], pool_F[result.centers])
-        gen_stats.append(GenerationStats(generation, evals, len(result.active), len(directions)))
 
         stable = stable + 1 if np.array_equal(result.active, last_active) else 1
         last_active = result.active
@@ -196,13 +185,12 @@ def run(config: RunConfig, seed: int, pf_samples: np.ndarray | None = None) -> R
         seed=seed,
         sample_times=np.rint(times).astype(int),
         igd_values=igd_values,
-        generations=gen_stats,
+        generations=ends[1:],
         events=events,
         final_solutions=X,
         final_objectives=F,
         final_ia_objectives=ia.objectives.copy(),
         final_igd=float(igd_values[-1]),
-        wall_time=wall,
     )
 
 
@@ -328,7 +316,6 @@ __all__ = [
     "ConfigError",
     "RunConfig",
     "RunRecord",
-    "GenerationStats",
     "ExperimentResult",
     "run",
     "experiment",

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .core import angle_matrix, nearest, nondominated_split
+from .core import nearest, nondominated_split
 
 
 @dataclass(frozen=True)
@@ -33,30 +33,19 @@ class SelectionResult:
     pool_exhausted: bool = False
 
 
-def pdm(objs, z, ideal) -> float:
-    """Proximity-diversity measure of one individual against a direction.
-
-    Mean of the ideal-translated objective components plus the sine of
-    the angle to ``z``; lower is better. The translated mean keeps the
-    proximity term nonnegative and on a scale comparable to sin in [0, 1].
-    """
-    t = np.asarray(objs, dtype=float) - np.asarray(ideal, dtype=float)
-    ang = angle_matrix(t[None, :], np.asarray(z, dtype=float)[None, :])[0, 0]
-    return float(t.mean() + np.sin(ang))
-
-
 def cascade_cluster(objs, directions, n_select: int, ideal) -> SelectionResult:
     """Select ``n_select`` pool members guided by reference directions.
 
     Steps: split the pool into frontier and non-frontier; attach each
     frontier to its minimum-angle direction, which forms the clusters;
-    rank each cluster's frontiers by ascending pdm (the best one is the
-    cluster center); attach every non-frontier to the Euclidean-nearest
-    center and rank it by that distance after all of its cluster's
-    frontiers. The pick order is a sort by (queue rank, cluster index),
-    which equals a round-robin over clusters in ascending direction
-    index taking one member per visit, until the quota or the pool runs
-    out.
+    rank each cluster's frontiers by ascending pdm, the mean of the
+    ideal-translated objectives plus the sine of the angle to the
+    direction (the best one is the cluster center); attach every
+    non-frontier to the Euclidean-nearest center and rank it by that
+    distance after all of its cluster's frontiers. The pick order is a
+    sort by (queue rank, cluster index), which equals a round-robin over
+    clusters in ascending direction index taking one member per visit,
+    until the quota or the pool runs out.
 
     All ties (angles, pdm, distances) break toward the lower index, so
     the result is deterministic. Non-finite objectives are rejected.

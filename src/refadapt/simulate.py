@@ -205,9 +205,8 @@ class ScenarioReport:
         }
 
 
-def active_set(points: np.ndarray, archive: ReferenceArchive) -> np.ndarray:
-    """Participating-vector indices activated by the scenario points."""
-    directions = archive.participating()[0]
+def active_set(points: np.ndarray, directions: np.ndarray) -> np.ndarray:
+    """Indices of the directions activated by the scenario points."""
     return np.unique(associate(points, directions))
 
 
@@ -227,16 +226,17 @@ def run_scenario(
     Hitting the iteration cap is reported as non-converged.
     """
     points = scenario.points()
+    directions = archive.participating()[0]
     events: list[AdaptationEvent] = []
     for it in range(1, max_iters + 1):
-        active = active_set(points, archive)
-        _, event = adapt(archive, active, params, generation=it)
+        active = active_set(points, directions)
+        directions, event = adapt(archive, active, params, generation=it)
         events.append(event)
         if event.kind == "none":
             break
     else:
         # the last attempt (if any) changed the archive: count again
-        active = active_set(points, archive)
+        active = active_set(points, directions)
     n_active = len(active)
     low, high = params.band
     converged = bool(events) and events[-1].kind == "none" and low <= n_active <= high
@@ -245,7 +245,7 @@ def run_scenario(
         converged=converged,
         iterations=len(events),
         n_active=n_active,
-        n_participating=archive.participating_count(),
+        n_participating=len(directions),
         inaccuracy=abs(n_active - params.n) / params.n,
         enabled_layers={
             layer.h: layer.enabled.tolist() for layer in archive.live_layers()

@@ -79,6 +79,13 @@ def associate_oracle(points, targets):
     return np.argmin(angle_matrix_oracle(points, targets), axis=1)
 
 
+def pdm_oracle(objs, z, ideal) -> float:
+    """Proximity-diversity measure: the mean of the ideal-translated
+    objectives plus the sine of the angle to ``z``."""
+    t = [v - w for v, w in zip(objs, ideal)]
+    return sum(t) / len(t) + math.sin(angle_oracle(t, z))
+
+
 # ---------------------------------------------------------------------------
 # cascade clustering, step by step
 
@@ -91,7 +98,6 @@ def cascade_cluster_oracle(pool, Z, n_select, ideal):
     pool = [list(map(float, row)) for row in pool]
     Z = [list(map(float, row)) for row in Z]
     ideal = list(map(float, ideal))
-    m = len(ideal)
     translated = [[v - w for v, w in zip(row, ideal)] for row in pool]
 
     frontier, non_frontier = frontier_split_oracle(pool)
@@ -106,15 +112,11 @@ def cascade_cluster_oracle(pool, Z, n_select, ideal):
         activation[i] = best
     active = sorted(set(activation.values()))
 
-    def pdm_value(i, zi):
-        t = translated[i]
-        return sum(t) / m + math.sin(angle_oracle(t, Z[zi]))
-
     queues = []
     centers = []
     for zi in active:
         members = [i for i in frontier if activation[i] == zi]   # pool order
-        ranked = sorted(members, key=lambda i: pdm_value(i, zi)) # stable sort
+        ranked = sorted(members, key=lambda i: pdm_oracle(pool[i], Z[zi], ideal))  # stable
         queues.append(list(ranked))
         centers.append(ranked[0])
 
@@ -319,6 +321,53 @@ def new_layer_coords_oracle(layers, m):
         factor = h_new // layer.h
         seen |= {tuple(int(c) * factor for c in row) for row in layer.coords.tolist()}
     return [row for row in simplex_lattice(m, h_new).tolist() if tuple(row) not in seen]
+
+
+# ---------------------------------------------------------------------------
+# reference archive
+
+def participating_oracle(archive):
+    """Enabled vectors of the live layers, one layer at a time.
+
+    Returns (directions, layer_index, row_index) in stack order.
+    """
+    dirs, lis, rows = [], [], []
+    for li, layer in enumerate(archive.live_layers()):
+        sel = np.flatnonzero(layer.enabled)
+        if len(sel):
+            dirs.append(layer.directions[sel])
+            lis.append(np.full(len(sel), li, dtype=np.int64))
+            rows.append(sel)
+    return np.vstack(dirs), np.concatenate(lis), np.concatenate(rows)
+
+
+def check_archive(archive):
+    """Assert the layered archive's invariants.
+
+    The participating set is non-empty and equals the per-layer oracle,
+    with stacked indices ``starts[layer] + row``, strictly increasing.
+    Stored layer densities double, every row above the base has an odd
+    coordinate (the parity nesting), and every ``assoc`` entry indexes
+    the stacked layers below its own.
+    """
+    dirs, stacked = archive.participating()
+    want_dirs, layer_idx, row_idx = participating_oracle(archive)
+    assert len(stacked) > 0
+    assert dirs.tobytes() == want_dirs.tobytes() and dirs.shape == want_dirs.shape
+    layers = archive.layers
+    starts = np.cumsum([0] + [len(layer) for layer in layers])
+    assert np.array_equal(stacked, starts[layer_idx] + row_idx)
+    assert np.all(np.diff(stacked) > 0)
+    assert 1 <= archive.live_count <= len(layers)
+    for below, layer in enumerate(layers):
+        assert len(layer.enabled) == len(layer)
+        if below == 0:
+            assert len(layer.assoc) == 0
+            continue
+        assert layer.h == 2 * layers[below - 1].h
+        assert (layer.coords % 2).any(axis=1).all()
+        assert len(layer.assoc) == len(layer)
+        assert np.all((0 <= layer.assoc) & (layer.assoc < starts[below]))
 
 
 # ---------------------------------------------------------------------------

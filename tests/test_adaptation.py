@@ -2,10 +2,19 @@ import numpy as np
 import pytest
 
 import refadapt.adaptation as adaptation_mod
-from refadapt.adaptation import AdaptationParams, adapt
+from refadapt.adaptation import AdaptationParams
 from refadapt.core import associate
 from refadapt.reference import ReferenceArchive
 from refadapt.simulate import active_set, partial_arc_scenario
+
+from oracles import check_archive
+
+
+def adapt(archive, *args, **kwargs):
+    """``adapt``, then the archive invariants."""
+    result = adaptation_mod.adapt(archive, *args, **kwargs)
+    check_archive(archive)
+    return result
 
 
 def base_archive(m=2, n=5):
@@ -74,17 +83,15 @@ class TestShrink:
         # lower layers (all vectors), not with the participating order
         arch = ReferenceArchive.initialize(2, 5)                   # H=4
         adapt(arch, [3, 4], AdaptationParams(n=5, theta=0.2))
-        _, layer_idx, row_idx = arch.participating()
+        stacked = arch.participating()[1]
         # rows 2, 3 of the H=8 layer: participating 5, 6 are stacked 7, 8
         assert arch.layers[1].enabled.tolist() == [False, False, True, True]
-        active = np.array([0, 3, 5, 6])
-        assert set(layer_idx[active].tolist()) == {0, 1}
-        _, event = adapt(arch, active, AdaptationParams(n=10, theta=0.2))
+        assert stacked[5:7].tolist() == [7, 8]
+        _, event = adapt(arch, [0, 3, 5, 6], AdaptationParams(n=10, theta=0.2))
         assert event.kind == "shrink" and arch.live_count == 3
         base, second, third = arch.layers
         nearest = associate(third.directions, np.vstack([base.directions, second.directions]))
-        active_stacked = np.where(layer_idx[active] == 0, 0, len(base)) + row_idx[active]
-        expected = np.isin(nearest, active_stacked)
+        expected = np.isin(nearest, [0, 3, 7, 8])
         assert np.array_equal(third.enabled, expected)
         assert expected.any() and not expected.all()
 
@@ -96,9 +103,10 @@ class TestShrink:
         for old, layer in zip(before, arch.live_layers()):
             assert np.all(layer.enabled[: len(old)] >= old)
 
-    def test_density_cap_turns_shrink_into_noop(self):
+    def test_density_cap_turns_shrink_into_noop(self, monkeypatch):
+        monkeypatch.setattr(adaptation_mod, "DENSITY_CAP_FACTOR", 1)
         arch = base_archive(n=5)
-        params = AdaptationParams(n=5, theta=0.2, density_cap_factor=1)
+        params = AdaptationParams(n=5, theta=0.2)
         _, event = adapt(arch, [0], params)
         assert event.kind == "none"
         assert arch.live_count == 1
@@ -199,13 +207,14 @@ class TestExpand:
 
 
 class TestMonotoneGrowth:
-    def test_repeated_shrinks_grow_participating_until_band_or_cap(self):
-        params = AdaptationParams(n=24, theta=0.2, density_cap_factor=8)
+    def test_repeated_shrinks_grow_participating_until_band_or_cap(self, monkeypatch):
+        monkeypatch.setattr(adaptation_mod, "DENSITY_CAP_FACTOR", 8)
+        params = AdaptationParams(n=24, theta=0.2)
         arch = ReferenceArchive.initialize(2, 24)
         points = partial_arc_scenario(40.0, 60.0).points()   # narrow coverage
         sizes = [arch.participating_count()]
         for _ in range(10):
-            active = active_set(points, arch)
+            active = active_set(points, arch.participating()[0])
             _, event = adapt(arch, active, params)
             if event.kind != "shrink":
                 break
@@ -224,5 +233,5 @@ def test_participating_never_empty_and_never_from_retired_layers():
         params = AdaptationParams(n=12, theta=0.2)
         dirs, _ = adapt(arch, active, params)
         assert len(dirs) >= 1
-        _, layer_idx, _ = arch.participating()
-        assert layer_idx.max() < arch.live_count
+        stacked = arch.participating()[1]
+        assert stacked.max() < sum(len(layer) for layer in arch.live_layers())

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from refadapt.core import associate, dominates, nondominated_split
+from refadapt.core import associate, nondominated_split
 from refadapt.problems import available_problems, make_problem
 from refadapt.reference import initial_density, simplex_lattice
 

@@ -92,7 +92,7 @@ class TestNewLayer:
     def test_association_targets_are_nearest_lower_vectors(self):
         arch = ReferenceArchive(2, [_layer(2, 4)])
         layer = arch.new_layer()
-        lower = arch.stacked_directions(1)
+        lower = arch.layers[0].directions
         for coord, target in zip(layer.coords.tolist(), layer.assoc.tolist()):
             d = np.asarray(coord) / layer.h
             angles = np.arccos(np.clip(
@@ -137,16 +137,13 @@ class TestArchive:
         arch = ReferenceArchive.initialize(3, 10)
         assert arch.base_h == 3
         assert arch.participating_count() == 10
-        dirs, layer_idx, row_idx = arch.participating()
+        dirs, stacked = arch.participating()
         assert dirs.shape == (10, 3)
-        assert np.all(layer_idx == 0)
-        assert row_idx.tolist() == list(range(10))
+        assert stacked.tolist() == list(range(10))
 
-    def test_json_dump_schema(self, tmp_path):
+    def test_json_dump_schema(self):
         arch = ReferenceArchive.initialize(2, 5)
-        path = tmp_path / "archive.json"
-        arch.dump_json(path)
-        data = json.loads(path.read_text())
+        data = json.loads(json.dumps(arch.to_json_dict()))
         assert data["M"] == 2
         assert len(data["layers"]) == 1
         layer = data["layers"][0]

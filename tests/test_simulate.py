@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import refadapt.adaptation as adaptation_mod
 from refadapt.adaptation import AdaptationParams
 from refadapt.core import nondominated_split
 from refadapt.reference import ReferenceArchive
@@ -26,11 +27,25 @@ from refadapt.simulate import (
 
 from oracles import (
     brute_force_density_active,
+    check_archive,
     enabled_point_keys_oracle,
     similarity_matrix_oracle,
 )
 
 PARAMS = AdaptationParams(n=24, theta=0.2)
+
+
+@pytest.fixture(autouse=True)
+def checked_adapt(monkeypatch):
+    """Check the archive invariants after every adaptation attempt."""
+    real = simulate_mod.adapt
+
+    def adapt(archive, *args, **kwargs):
+        result = real(archive, *args, **kwargs)
+        check_archive(archive)
+        return result
+
+    monkeypatch.setattr(simulate_mod, "adapt", adapt)
 
 
 def fresh(n=24):
@@ -89,6 +104,7 @@ class TestRunScenario:
         assert report.converged
         assert any(e.kind == "shrink" for e in report.events)
         assert 20 <= report.n_active <= 28
+        assert report.n_participating == archive.participating_count()
 
     def test_widening_front_triggers_expand_back_into_band(self):
         archive = fresh()
@@ -98,11 +114,11 @@ class TestRunScenario:
         assert any(e.kind == "expand" for e in report.events)
         assert 20 <= report.n_active <= 28
 
-    def test_guarded_shrink_is_not_converged(self):
+    def test_guarded_shrink_is_not_converged(self, monkeypatch):
         # the density cap forbids the shrink the partial arc asks for: the
         # loop stops on the "none" event, below the band
-        params = AdaptationParams(n=24, theta=0.2, density_cap_factor=1)
-        report = run_scenario(partial_arc_scenario(), fresh(), params)
+        monkeypatch.setattr(adaptation_mod, "DENSITY_CAP_FACTOR", 1)
+        report = run_scenario(partial_arc_scenario(), fresh(), PARAMS)
         assert [e.kind for e in report.events] == ["none"]
         assert report.n_active < 19.2
         assert not report.converged
@@ -125,13 +141,13 @@ class TestRunScenario:
         report = run_scenario(sc, archive, PARAMS, max_iters=12)
         assert not report.converged
         assert report.iterations == 12
-        assert report.n_active == len(active_set(sc.points(), archive))
+        assert report.n_active == len(active_set(sc.points(), archive.participating()[0]))
 
     def test_zero_iteration_cap_counts_the_untouched_archive(self):
         sc = default_scenarios()[0]
         report = run_scenario(sc, fresh(), PARAMS, max_iters=0)
         assert not report.converged and report.iterations == 0
-        assert report.n_active == len(active_set(sc.points(), fresh()))
+        assert report.n_active == len(active_set(sc.points(), fresh().participating()[0]))
 
 
 class TestSimilarity:
