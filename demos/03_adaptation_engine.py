@@ -20,7 +20,7 @@ N, THETA = 24, 0.2
 params = AdaptationParams(n=N, theta=THETA)
 band = f"[{(1 - THETA) * N:.1f}, {(1 + THETA) * N:.1f}]"
 archive = ReferenceArchive.initialize(2, N)
-print(f"base layer: H={archive.base_h}, {archive.participating_count()} vectors, "
+print(f"base layer: H={archive.base_h}, {len(archive.participating()[1])} vectors, "
       f"tolerance band {band}")
 
 

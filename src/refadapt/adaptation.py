@@ -87,7 +87,7 @@ def adapt(
     # layer's ``assoc``
     is_active = np.zeros(sum(len(layer) for layer in archive.live_layers()), dtype=bool)
     is_active[stacked[active]] = True
-    n_active = len(active)
+    n_active = int(is_active.sum())       # repeated indices count once
     low, high = params.band
 
     kind = "none"

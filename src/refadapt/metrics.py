@@ -9,20 +9,45 @@ from scipy.spatial.distance import cdist
 from scipy.special import stdtrit
 
 
-def igd(pf_samples, population) -> float:
-    """Inverted generational distance of a population.
+IGD_GROUP = 16          # populations that share one pass over the samples
+IGD_BLOCK = 2 ** 18     # distances per cdist block: 2 MiB of float64
+
+
+def igd(pf_samples, population):
+    """Inverted generational distance of a population, or of a stack of them.
 
     Mean over the true-front samples of the minimum Euclidean distance to
     any population member; lower is better, and adding members can only
-    lower it.
+    lower it. An (n, M) population gives a float; a (T, n, M) stack gives
+    the (T,) values of its populations.
+
+    Consecutive populations of a run share many members, so each group of
+    ``IGD_GROUP`` populations measures its distinct rows once, against
+    blocks of samples holding about ``IGD_BLOCK`` distances.
     """
     S = np.atleast_2d(np.asarray(pf_samples, dtype=float))
-    P = np.atleast_2d(np.asarray(population, dtype=float))
-    if len(S) == 0 or len(P) == 0:
+    P = np.asarray(population, dtype=float)
+    stacked = P.ndim == 3
+    if not stacked:
+        P = np.atleast_2d(P)[None]
+    if len(S) == 0 or P.shape[0] == 0 or P.shape[1] == 0:
         raise ValueError("igd needs nonempty sample and population sets")
-    # sqrt is monotone and correctly rounded, so taking it after the row
-    # minimum gives the same bits as the minimum of Euclidean distances
-    return float(np.sqrt(cdist(S, P, "sqeuclidean").min(axis=1)).mean())
+    values = np.empty(len(P))
+    for start in range(0, len(P), IGD_GROUP):
+        group = P[start:start + IGD_GROUP]
+        rows, members = np.unique(group.reshape(-1, P.shape[2]), axis=0, return_inverse=True)
+        members = members.reshape(len(group), -1)
+        minima = np.empty((len(group), len(S)))
+        step = max(1, IGD_BLOCK // len(rows))
+        for lo in range(0, len(S), step):
+            d = cdist(rows, S[lo:lo + step], "sqeuclidean")
+            for k, idx in enumerate(members):
+                minima[k, lo:lo + step] = d[idx].min(axis=0)
+        # sqrt is monotone and correctly rounded, so taking it after the
+        # minimum gives the same bits as the minimum of Euclidean distances
+        for k, row in enumerate(minima):
+            values[start + k] = np.sqrt(row).mean()
+    return values if stacked else float(values[0])
 
 
 @dataclass(frozen=True)

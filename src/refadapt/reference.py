@@ -9,6 +9,7 @@ new layers drop already-present points by parity.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -65,12 +66,15 @@ def simplex_lattice(m: int, h: int) -> np.ndarray:
 
 def initial_density(m: int, n: int) -> int:
     """Smallest density H whose lattice holds at least ``n`` points."""
+    if m < 2:
+        raise ValueError("need at least two objectives")
     if n < m:
         raise ValueError(f"population size {n} below objective count {m}")
-    h = 1
-    while lattice_size(m, h) < n:
-        h += 1
-    return h
+    # lattice_size grows with h: double past n, then bisect the last doubling
+    hi = 1
+    while lattice_size(m, hi) < n:
+        hi *= 2
+    return bisect.bisect_left(range(hi), n, lo=hi // 2, key=lambda h: lattice_size(m, h))
 
 
 @dataclass
@@ -148,9 +152,6 @@ class ReferenceArchive:
         if not len(stacked):
             raise ValueError("participating reference-vector set is empty")
         return np.vstack([layer.directions for layer in live])[stacked], stacked
-
-    def participating_count(self) -> int:
-        return int(sum(layer.enabled.sum() for layer in self.live_layers()))
 
     def new_layer(self) -> ReferenceLayer:
         """Construct the next, denser layer without attaching it.

@@ -132,13 +132,15 @@ def run(config: RunConfig, seed: int, pf_samples: np.ndarray | None = None) -> R
     # budget. Generation g (0 = the initial population) ends at
     # min((g + 1) n, max_evals) evaluations and scores the samples due by
     # then; the samples at the budget score the final population instead.
+    # The populations of the due generations are kept and scored together
+    # after the loop.
     times = np.linspace(n, max_evals, config.sample_points)
     ends = np.minimum(np.arange(1, -(-max_evals // n) + 1) * n, max_evals)
     final = len(ends)
     scorer = np.where(times >= max_evals - 1e-9, final, np.searchsorted(ends, times - 1e-9))
-    igd_values = np.empty(config.sample_points)
+    due = np.unique(scorer)
 
-    igd_values[scorer == 0] = igd(pf_samples, F)    # times[0] = n, never at the budget
+    scored = [F]                # generation 0 is always due: times[0] = n < max_evals
     events: list[AdaptationEvent] = []
     generation = 0
     stable = 0                  # generations in a row with the same active set
@@ -169,15 +171,16 @@ def run(config: RunConfig, seed: int, pf_samples: np.ndarray | None = None) -> R
             events.append(event)
             stable = 0
 
-        if generation in scorer:
-            igd_values[scorer == generation] = igd(pf_samples, F)
+        if generation in due:
+            scored.append(F)
 
     # final population from the archive and the population together
     pool_X = np.vstack([ia.solutions, X])
     pool_F = np.vstack([ia.objectives, F])
     result = cascade_cluster(pool_F, directions, n, ideal)
     X, F = pool_X[result.selected], pool_F[result.selected]
-    igd_values[scorer == final] = igd(pf_samples, F)
+    scored.append(F)
+    igd_values = igd(pf_samples, np.stack(scored))[np.searchsorted(due, scorer)]
 
     wall = time.perf_counter() - t0
     log.info("seed %d finished in %.2fs (%d generations)", seed, wall, generation)

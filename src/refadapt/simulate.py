@@ -14,6 +14,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -66,9 +67,15 @@ class Scenario:
     density: float
 
     def points(self) -> np.ndarray:
+        """The sampled front, read-only: it is sampled once per scenario."""
+        return self._points
+
+    @cached_property
+    def _points(self) -> np.ndarray:
         pts = np.vstack([seg.sample(self.density) for seg in self.segments])
         if np.any(pts <= 0.0):
             raise ValueError(f"scenario {self.name!r} has nonpositive points")
+        pts.flags.writeable = False
         return pts
 
     def to_dict(self) -> dict:

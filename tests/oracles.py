@@ -284,6 +284,19 @@ def igd_schedule_oracle(n, max_evals, sample_points):
 
 
 # ---------------------------------------------------------------------------
+# reference lattice
+
+def initial_density_oracle(m, n):
+    """Smallest H with C(H + m - 1, m - 1) >= n, by a linear scan from 1."""
+    if n < m:
+        raise ValueError(f"population size {n} below objective count {m}")
+    h = 1
+    while math.comb(h + m - 1, m - 1) < n:
+        h += 1
+    return h
+
+
+# ---------------------------------------------------------------------------
 # stability window
 
 def stability_attempts_oracle(activity_history, w, adapt_refs=True):

@@ -1,8 +1,10 @@
 """Acceptance suite: one test per criterion, one printed verdict line each.
 
-Run with ``pytest tests/test_acceptance.py -s`` to see the verdict lines;
-artifacts (similarity matrices, experiment outputs) land in
-``results/acceptance/`` at the repository root.
+Run with ``pytest tests/test_acceptance.py -s`` to see the verdict lines.
+Artifacts (similarity matrices, experiment outputs) land in one
+``acceptance`` directory under pytest's session temporary directory, so
+the checkout is never written; ``--basetemp DIR`` keeps them in
+``DIR/acceptance``.
 """
 
 import json
@@ -32,8 +34,6 @@ from refadapt.simulate import (
 from oracles import cascade_cluster_oracle, igd_oracle, random_instance
 
 REPO = Path(__file__).resolve().parents[1]
-ARTIFACTS = REPO / "results" / "acceptance"
-
 DESK_SCALE = dict(m=3, d=12, n=92, max_evals=20_000, seeds=tuple(range(1, 11)))
 
 
@@ -44,8 +44,13 @@ def verdict(number: int, description: str, ok: bool, detail: str = "") -> None:
     assert ok, f"criterion {number}: {description}{suffix}"
 
 
-def _experiment(problem: str, tag: str, **overrides) -> dict:
-    out = ARTIFACTS / f"{problem}_{tag}"
+@pytest.fixture(scope="session")
+def artifacts(tmp_path_factory) -> Path:
+    return tmp_path_factory.mktemp("acceptance", numbered=False)
+
+
+def _experiment(artifacts: Path, problem: str, tag: str, **overrides) -> dict:
+    out = artifacts / f"{problem}_{tag}"
     cfg = RunConfig(problem=problem, out_dir=str(out), **DESK_SCALE, **overrides)
     return experiment(cfg).summary
 
@@ -130,25 +135,24 @@ def test_criterion_04_adaptation_band_convergence():
             "; ".join(detail))
 
 
-def test_criterion_05_order_insensitivity():
+def test_criterion_05_order_insensitivity(artifacts):
     t0 = time.perf_counter()
     params = AdaptationParams(n=24, theta=0.2)
     scenarios = default_scenarios()
-    ARTIFACTS.mkdir(parents=True, exist_ok=True)
 
     reset = permutation_similarity(scenarios, params, carry_over=False)
-    reset.write_matrix_csv(ARTIFACTS / "similarity_reset.csv")
+    reset.write_matrix_csv(artifacts / "similarity_reset.csv")
     ok = all(np.all(mat == 100.0) for mat in reset.matrices.values())
 
     carry = permutation_similarity(scenarios, params, carry_over=True)
-    carry.write_matrix_csv(ARTIFACTS / "similarity_carry.csv")
+    carry.write_matrix_csv(artifacts / "similarity_carry.csv")
     ok &= carry.mean_similarity >= 95.0
 
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 60.0
     verdict(5, "24 scenario orders give identical enabled sets", ok,
             f"reset {reset.mean_similarity:.2f}%, carry {carry.mean_similarity:.2f}%, "
-            f"runtime {elapsed:.1f}s, matrices in {ARTIFACTS}")
+            f"runtime {elapsed:.1f}s, matrices in {artifacts}")
 
 
 def test_criterion_06_igd_oracle():
@@ -165,13 +169,13 @@ def test_criterion_06_igd_oracle():
 
 
 @pytest.fixture(scope="module")
-def ablation_summaries():
+def ablation_summaries(artifacts):
     t0 = time.perf_counter()
     summaries = {
         problem: {
-            "full": _experiment(problem, "full"),
-            "fixed": _experiment(problem, "fixed", adapt_refs=False),
-            "noia": _experiment(problem, "noia", use_ia=False),
+            "full": _experiment(artifacts, problem, "full"),
+            "fixed": _experiment(artifacts, problem, "fixed", adapt_refs=False),
+            "noia": _experiment(artifacts, problem, "noia", use_ia=False),
         }
         for problem in ("maf1", "maf6")
     }
@@ -200,9 +204,9 @@ def test_criterion_07_directional_ablation(ablation_summaries):
             "; ".join(detail))
 
 
-def test_criterion_08_full_fos_non_regression():
-    adaptive = _experiment("dtlz2", "full")["final_igd"]["median"]
-    fixed = _experiment("dtlz2", "fixed", adapt_refs=False)["final_igd"]["median"]
+def test_criterion_08_full_fos_non_regression(artifacts):
+    adaptive = _experiment(artifacts, "dtlz2", "full")["final_igd"]["median"]
+    fixed = _experiment(artifacts, "dtlz2", "fixed", adapt_refs=False)["final_igd"]["median"]
     gap = abs(adaptive - fixed)
     ok = gap <= 0.10 * min(adaptive, fixed)
     verdict(8, "adaptation does not hurt a fully covering front", ok,

@@ -66,7 +66,7 @@ class TestShrink:
         for n in (8, 13, 24):
             arch = ReferenceArchive.initialize(2, n)
             params = AdaptationParams(n=n, theta=0.2)
-            k = arch.participating_count()
+            k = len(arch.participating()[1])
             active = np.sort(rng.choice(k, size=max(1, int(0.3 * n)), replace=False))
             _, event = adapt(arch, active, params)
             if event.kind != "shrink":
@@ -165,6 +165,17 @@ class Testband:
         assert event.kind == "none"
         assert arch.live_count == 1
 
+    def test_repeated_active_indices_count_once(self):
+        # one distinct active vector is below the band [4, 6] and shrinks,
+        # however often its index is listed
+        events = []
+        for active in ([0], [0, 0, 0, 0, 0]):
+            arch = ReferenceArchive.initialize(2, 5)
+            _, event = adapt(arch, active, AdaptationParams(5, 0.2))
+            events.append(event.to_dict())
+        assert events[0] == events[1]
+        assert events[1]["kind"] == "shrink" and events[1]["active_before"] == 1
+
 
 class TestExpand:
     def _shrunk_archive(self):
@@ -176,7 +187,7 @@ class TestExpand:
     def test_expand_removes_top_and_back_propagates(self):
         arch = self._shrunk_archive()
         params = AdaptationParams(n=2, theta=0.2)
-        k = arch.participating_count()
+        k = len(arch.participating()[1])
         _, event = adapt(arch, list(range(k)), params)  # 7 > 2.4 forces expand
         assert event.kind == "expand"
         assert arch.live_count == 1
@@ -188,13 +199,13 @@ class TestExpand:
         arch = self._shrunk_archive()
         params = AdaptationParams(n=2, theta=0.2)
         top_before = arch.layers[1].enabled.copy()
-        adapt(arch, list(range(arch.participating_count())), params)
+        adapt(arch, list(range(len(arch.participating()[1]))), params)
         assert np.array_equal(arch.layers[1].enabled, top_before)
 
     def test_reshrink_revives_stored_layer(self):
         arch = self._shrunk_archive()
         expand_params = AdaptationParams(n=2, theta=0.2)
-        adapt(arch, list(range(arch.participating_count())), expand_params)
+        adapt(arch, list(range(len(arch.participating()[1]))), expand_params)
         retired = arch.layers[1]
         shrink_params = AdaptationParams(n=5, theta=0.2)
         _, event = adapt(arch, [3, 4], shrink_params)
@@ -212,13 +223,13 @@ class TestMonotoneGrowth:
         params = AdaptationParams(n=24, theta=0.2)
         arch = ReferenceArchive.initialize(2, 24)
         points = partial_arc_scenario(40.0, 60.0).points()   # narrow coverage
-        sizes = [arch.participating_count()]
+        sizes = [len(arch.participating()[1])]
         for _ in range(10):
             active = active_set(points, arch.participating()[0])
             _, event = adapt(arch, active, params)
             if event.kind != "shrink":
                 break
-            sizes.append(arch.participating_count())
+            sizes.append(len(arch.participating()[1]))
         assert all(b > a for a, b in zip(sizes, sizes[1:]))
         assert len(sizes) > 1
 
@@ -227,7 +238,7 @@ def test_participating_never_empty_and_never_from_retired_layers():
     rng = np.random.default_rng(1)
     arch = ReferenceArchive.initialize(2, 12)
     for step in range(30):
-        k = arch.participating_count()
+        k = len(arch.participating()[1])
         size = int(rng.integers(1, k + 1))
         active = np.sort(rng.choice(k, size=size, replace=False))
         params = AdaptationParams(n=12, theta=0.2)

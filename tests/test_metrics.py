@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import refadapt.metrics as metrics_mod
 from refadapt.metrics import Trajectory, confidence_trajectory, igd, stability
 
 from oracles import igd_oracle, igd_oracle_cdist
@@ -56,6 +57,75 @@ class TestIgd:
         base = igd(S, P)
         grown = igd(S, np.vstack([P, rng.uniform(0, 1, (15, 2))]))
         assert grown <= base
+
+
+def _run_like_stack(rng, T, n, m, pool=None):
+    """T populations of n rows drawn from a shared pool, with repeats."""
+    pool = rng.uniform(0, 1, (pool or 2 * n, m))
+    return pool[rng.integers(0, len(pool), (T, n))]
+
+
+def _assert_stack_matches_oracle(S, P):
+    values = igd(S, P)
+    assert isinstance(values, np.ndarray) and values.shape == (len(P),)
+    for k, population in enumerate(P):
+        assert values[k] == igd_oracle_cdist(S, population), k
+
+
+class TestIgdStack:
+    @pytest.mark.parametrize("T", [1, 16, 17, 40])
+    def test_bit_equal_per_population(self, T):
+        rng = np.random.default_rng(T)
+        S = rng.uniform(0, 1, (5000, 3))     # two blocks once a group has 53+ distinct rows
+        _assert_stack_matches_oracle(S, _run_like_stack(rng, T, 30, 3))
+
+    def test_random_stacks_with_shared_and_duplicated_rows(self):
+        rng = np.random.default_rng(7)
+        for t in range(30):
+            m = int(rng.integers(2, 6))
+            S = rng.uniform(0, 1, (int(rng.integers(1, 400)), m))
+            P = _run_like_stack(rng, int(rng.integers(1, 40)), int(rng.integers(1, 25)), m,
+                                pool=int(rng.integers(1, 30)))
+            if t % 2:
+                P = np.round(3 * P)      # exact ties between distinct rows
+            _assert_stack_matches_oracle(S, P)
+
+    def test_negative_zero_next_to_zero(self):
+        S = np.array([[0.0, 1.0], [-0.0, 0.5], [1.0, -0.0], [0.25, 0.75]])
+        P = np.array([
+            [[0.0, 1.0], [-0.0, 1.0], [0.5, -0.0]],
+            [[-0.0, 1.0], [0.5, 0.0], [0.5, -0.0]],
+            [[0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0]],
+        ])
+        _assert_stack_matches_oracle(S, P)
+
+    def test_sample_count_off_the_block_step(self, monkeypatch):
+        monkeypatch.setattr(metrics_mod, "IGD_BLOCK", 64)
+        rng = np.random.default_rng(5)
+        P = _run_like_stack(rng, 20, 6, 3)   # at most 12 distinct rows a group: steps of 5+
+        for size in (1, 7, 101, 333):
+            _assert_stack_matches_oracle(rng.uniform(0, 1, (size, 3)), P)
+
+    def test_more_distinct_rows_than_a_block_holds(self, monkeypatch):
+        monkeypatch.setattr(metrics_mod, "IGD_BLOCK", 16)
+        rng = np.random.default_rng(9)
+        P = rng.uniform(0, 1, (18, 5, 3))    # 80 distinct rows a group: one sample a block
+        _assert_stack_matches_oracle(rng.uniform(0, 1, (23, 3)), P)
+
+    def test_two_dimensional_input_gives_a_float(self):
+        rng = np.random.default_rng(2)
+        S, P = rng.uniform(0, 1, (50, 3)), rng.uniform(0, 1, (8, 3))
+        value = igd(S, P)
+        assert type(value) is float
+        assert value == igd(S, P[None])[0] == igd_oracle_cdist(S, P)
+
+    def test_empty_stacks_rejected(self):
+        with pytest.raises(ValueError):
+            igd(np.empty((0, 2)), np.ones((3, 4, 2)))
+        with pytest.raises(ValueError):
+            igd([[1, 2]], np.empty((0, 4, 2)))
+        with pytest.raises(ValueError):
+            igd([[1, 2]], np.empty((3, 0, 2)))
 
 
 class TestTrajectory:

@@ -11,7 +11,7 @@ from refadapt.reference import (
     simplex_lattice,
 )
 
-from oracles import new_layer_coords_oracle
+from oracles import initial_density_oracle, new_layer_coords_oracle
 
 
 class TestSimplexLattice:
@@ -62,6 +62,27 @@ class TestInitialDensity:
     def test_population_below_objectives_rejected(self):
         with pytest.raises(ValueError):
             initial_density(5, 3)
+
+    def test_single_objective_rejected(self):
+        with pytest.raises(ValueError):
+            initial_density(1, 2)
+
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_matches_linear_scan(self, m):
+        # every n up to 400, a geometric sweep to 10**5, and both sides of
+        # each lattice size up to 10**5
+        ns = set(range(1, 400)) | {int(v) for v in np.geomspace(400, 10**5, 60)}
+        for h in range(1, 200):
+            size = lattice_size(m, h)
+            if size > 10**5:
+                break
+            ns |= {size - 1, size, size + 1}
+        for n in sorted(ns):
+            if n < m:
+                with pytest.raises(ValueError):
+                    initial_density(m, n)
+            else:
+                assert initial_density(m, n) == initial_density_oracle(m, n), n
 
 
 class TestNewLayer:
@@ -136,7 +157,7 @@ class TestArchive:
     def test_initialize_all_enabled(self):
         arch = ReferenceArchive.initialize(3, 10)
         assert arch.base_h == 3
-        assert arch.participating_count() == 10
+        assert len(arch.participating()[1]) == 10
         dirs, stacked = arch.participating()
         assert dirs.shape == (10, 3)
         assert stacked.tolist() == list(range(10))

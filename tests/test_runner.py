@@ -185,19 +185,21 @@ class TestIgdSchedule:
     @pytest.mark.parametrize("sample_points", [2, 3, 7, 50])
     def test_matches_cursor_oracle(self, monkeypatch, n, max_evals, sample_points):
         # budgets off the population grid, and sample counts both above and
-        # below the generation count
+        # below the generation count; the scored populations arrive as one
+        # stack after the loop, and each one's value is its stack position
         calls = []
 
-        def counting_igd(samples, population):
-            calls.append(len(population))
-            return float(len(calls) - 1)
+        def indexing_igd(samples, populations):
+            calls.append(populations.shape)
+            return np.arange(len(populations), dtype=float)
 
-        monkeypatch.setattr(runner_mod, "igd", counting_igd)
+        monkeypatch.setattr(runner_mod, "igd", indexing_igd)
         cfg = RunConfig(problem="dtlz2", m=3, n=n, max_evals=max_evals, igd_samples=50,
                         sample_points=sample_points)
         rec = run(cfg, 1)
+        assert len(calls) == 1 and calls[0][1:] == (n, 3)
         assert rec.igd_values.tolist() == igd_schedule_oracle(n, max_evals, sample_points)
-        assert rec.final_igd == len(calls) - 1
+        assert rec.final_igd == calls[0][0] - 1
 
 
 # sha256 of (final_population.csv, individual_archive.csv, events.jsonl)

@@ -59,6 +59,14 @@ class TestScenarioGeometry:
         assert np.all(pts > 0)
         assert len(pts) >= 400  # density 400 over a ~1.55 rad arc
 
+    def test_points_sampled_once_and_read_only(self):
+        sc = quarter_circle_scenario()
+        pts = sc.points()
+        assert sc.points() is pts
+        assert np.array_equal(pts, np.vstack([seg.sample(sc.density) for seg in sc.segments]))
+        with pytest.raises(ValueError):
+            pts[0, 0] = 1.0
+
     def test_segments_mutually_nondominated(self):
         for sc in default_scenarios() + [quarter_circle_scenario(), partial_arc_scenario()]:
             front, rest = nondominated_split(sc.points())
@@ -104,7 +112,7 @@ class TestRunScenario:
         assert report.converged
         assert any(e.kind == "shrink" for e in report.events)
         assert 20 <= report.n_active <= 28
-        assert report.n_participating == archive.participating_count()
+        assert report.n_participating == len(archive.participating()[1])
 
     def test_widening_front_triggers_expand_back_into_band(self):
         archive = fresh()
