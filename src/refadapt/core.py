@@ -110,8 +110,12 @@ def associate(points, targets) -> np.ndarray:
     The row-wise ``argmin`` of :func:`angle_matrix`, computed by
     :func:`nearest`: the largest cosine wins unless rivals lie within
     1e-12 of it, which are then compared by angle. Ties break toward the
-    lowest target index so that association is deterministic across runs
-    and platforms.
+    lowest target index, so a repeated call gives the same result. A
+    near-tie is not reproducible across call shapes or platforms: its
+    cosines come from one matrix product, whose last bit depends on the
+    BLAS kernel and on the shape of the call, so a point between two
+    mirror directions may map to one of them in a full call and to the
+    other when associated alone.
     """
     return nearest(points, targets)[0]
 

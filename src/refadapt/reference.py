@@ -10,6 +10,7 @@ new layers drop already-present points by parity.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -27,6 +28,11 @@ MAX_LATTICE_POINTS = 5_000_000
 # once, 288 MiB at 2**25 pairs. The value is kept from when it held three
 # float matrices, since moving it would change which shrinks run.
 MAX_ASSOCIATION_PAIRS = 2**25
+
+# Distinct base lattices and new layers kept per process. Every scenario
+# run of a permutation study starts from the same archive, so it builds the
+# same few (one of each per population size), and a small bound keeps them.
+LAYER_MEMO_SIZE = 16
 
 
 def lattice_size(m: int, h: int) -> int:
@@ -123,7 +129,7 @@ class ReferenceArchive:
     def initialize(cls, m: int, n: int) -> "ReferenceArchive":
         """Base archive for population size ``n``: one fully enabled layer."""
         h = initial_density(m, n)
-        coords = simplex_lattice(m, h)
+        coords = _base_lattice(m, h)
         base = ReferenceLayer(h=h, coords=coords, enabled=np.ones(len(coords), dtype=bool))
         return cls(m, [base])
 
@@ -161,12 +167,12 @@ class ReferenceArchive:
         two is exactly the all-even points, so a point is new when any of
         its coordinates is odd. Every new vector starts disabled and is
         associated with its nearest vector among the stored layers.
+        ``coords`` and ``assoc`` are read-only and shared with every
+        other archive whose stored directions are the same bytes.
         """
         h_new = 2 * self.layers[-1].h
-        lattice = simplex_lattice(self.m, h_new)
-        coords = lattice[(lattice % 2).any(axis=1)]
         stored = np.vstack([layer.directions for layer in self.layers])
-        assoc = associate(coords / float(h_new), stored)
+        coords, assoc = _new_layer(self.m, h_new, stored.tobytes())
         return ReferenceLayer(
             h=h_new,
             coords=coords,
@@ -187,3 +193,27 @@ class ReferenceArchive:
                 for layer in self.live_layers()
             ],
         }
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@functools.lru_cache(maxsize=LAYER_MEMO_SIZE)
+def _base_lattice(m: int, h: int) -> np.ndarray:
+    """The lattice at density ``h``, built once per process, read-only."""
+    return _read_only(simplex_lattice(m, h))
+
+
+@functools.lru_cache(maxsize=LAYER_MEMO_SIZE)
+def _new_layer(m: int, h: int, stored: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (coords, assoc) of the layer at ``h`` above ``stored``.
+
+    Keyed by content, so an archive with other stored directions (a
+    hand-built base, say) gets its own association.
+    """
+    lattice = simplex_lattice(m, h)
+    coords = lattice[(lattice % 2).any(axis=1)]
+    assoc = associate(coords / float(h), np.frombuffer(stored).reshape(-1, m).copy())
+    return _read_only(coords), _read_only(assoc)

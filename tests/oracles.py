@@ -79,6 +79,13 @@ def associate_oracle(points, targets):
     return np.argmin(angle_matrix_oracle(points, targets), axis=1)
 
 
+def active_set_oracle(points, directions):
+    """The scenario active set as the dense association of every point."""
+    from refadapt.core import associate
+
+    return np.unique(associate(points, directions))
+
+
 def pdm_oracle(objs, z, ideal) -> float:
     """Proximity-diversity measure: the mean of the ideal-translated
     objectives plus the sine of the angle to ``z``."""

@@ -19,7 +19,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["desk_maf1", "scenario_study"])
+@pytest.mark.parametrize("workload", ["desk_maf1", "many_dtlz2", "scenario_study"])
 def test_traced_round_is_correct(tmp_path, workload):
     ignore = shutil.ignore_patterns("__pycache__", ".perfbench_out")
     for name in ("perfbench", "src"):

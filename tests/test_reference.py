@@ -4,14 +4,16 @@ import math
 import numpy as np
 import pytest
 
+import refadapt.reference as reference_mod
 from refadapt.reference import (
     ReferenceArchive,
+    ReferenceLayer,
     initial_density,
     lattice_size,
     simplex_lattice,
 )
 
-from oracles import initial_density_oracle, new_layer_coords_oracle
+from oracles import associate_oracle, initial_density_oracle, new_layer_coords_oracle
 
 
 class TestSimplexLattice:
@@ -133,6 +135,45 @@ class TestNewLayer:
             arch.layers.append(layer)
 
 
+class TestLayerMemo:
+    def test_fresh_archives_share_read_only_layers(self):
+        a, b = ReferenceArchive.initialize(3, 10), ReferenceArchive.initialize(3, 10)
+        la, lb = a.new_layer(), b.new_layer()
+        for x, y in ((a.layers[0].coords, b.layers[0].coords),
+                     (la.coords, lb.coords), (la.assoc, lb.assoc)):
+            assert np.array_equal(x, y)
+            for arr in (x, y):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[0] = 1
+        # enabled masks stay per layer
+        a.layers[0].enabled[:] = False
+        la.enabled[:] = True
+        assert b.layers[0].enabled.all() and not lb.enabled.any()
+
+    @pytest.mark.parametrize("coords", [
+        [[0, 4], [1, 3], [3, 1], [4, 0]],                 # the H=4 lattice without (2, 2)
+        [[0.0, 4.0], [1.5, 2.5], [2.0, 2.0], [4.0, 0.0]],  # off-lattice rows
+    ])
+    def test_hand_built_base_gets_its_own_association(self, coords):
+        ReferenceArchive.initialize(2, 5).new_layer()     # the lattice's layer at H=8
+        base = ReferenceLayer(h=4, coords=np.asarray(coords), enabled=np.ones(4, dtype=bool))
+        arch = ReferenceArchive(2, [base])
+        layer = arch.new_layer()
+        assert layer.h == 8
+        assert np.array_equal(layer.assoc, associate_oracle(layer.directions, base.directions))
+
+    def test_memo_holds_at_most_its_bound(self):
+        reference_mod._base_lattice.cache_clear()
+        reference_mod._new_layer.cache_clear()
+        for n in range(5, 2 * reference_mod.LAYER_MEMO_SIZE + 12, 2):
+            ReferenceArchive.initialize(2, n).new_layer()
+        for memo in (reference_mod._base_lattice, reference_mod._new_layer):
+            info = memo.cache_info()
+            assert info.misses > reference_mod.LAYER_MEMO_SIZE
+            assert info.currsize == info.maxsize == reference_mod.LAYER_MEMO_SIZE
+
+
 class TestNesting:
     @pytest.mark.parametrize("m,h", [(2, 3), (3, 2), (4, 2)])
     def test_coarse_lattice_contained_in_double_density(self, m, h):
@@ -174,7 +215,5 @@ class TestArchive:
 
 
 def _layer(m, h):
-    from refadapt.reference import ReferenceLayer
-
     coords = simplex_lattice(m, h)
     return ReferenceLayer(h=h, coords=coords, enabled=np.ones(len(coords), dtype=bool))

@@ -5,8 +5,9 @@ import pytest
 
 import refadapt.adaptation as adaptation_mod
 from refadapt.adaptation import AdaptationParams
-from refadapt.core import nondominated_split
-from refadapt.reference import ReferenceArchive
+from refadapt.core import associate, nondominated_split
+import refadapt.reference as reference_mod
+from refadapt.reference import ReferenceArchive, simplex_lattice
 import refadapt.simulate as simulate_mod
 from refadapt.simulate import (
     ArcSegment,
@@ -26,6 +27,7 @@ from refadapt.simulate import (
 )
 
 from oracles import (
+    active_set_oracle,
     brute_force_density_active,
     check_archive,
     enabled_point_keys_oracle,
@@ -50,6 +52,35 @@ def checked_adapt(monkeypatch):
 
 def fresh(n=24):
     return ReferenceArchive.initialize(2, n)
+
+
+def scaled(scenario, factor):
+    """The same front scaled radially: same point count and directions."""
+    segments = tuple(
+        ArcSegment((seg.center[0] * factor, seg.center[1] * factor), seg.radius * factor,
+                   seg.a0, seg.a1)
+        if isinstance(seg, ArcSegment) else
+        LineSegment((seg.start[0] * factor, seg.start[1] * factor),
+                    (seg.end[0] * factor, seg.end[1] * factor))
+        for seg in scenario.segments
+    )
+    return Scenario(scenario.name, segments, scenario.density / factor)
+
+
+# segmented_arcs at this scale has 342 points; its row 183,
+# (0.40632111066980375, 0.4063211106698037), lies on the diagonal between
+# the two middle directions of the N=96 base lattice. With OpenBLAS's
+# Haswell kernel the dense pick there is 47 in the 342-row call and 48 in
+# the one-row call.
+ROW_183_SCALE = 0.5746248253877357
+ROW_183 = np.array([[0.40632111066980375, 0.4063211106698037]])
+
+
+def assert_active_set_exact(points, directions):
+    got = active_set(points, directions)
+    want = active_set_oracle(points, directions)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want), (got, want)
 
 
 class TestScenarioGeometry:
@@ -156,6 +187,156 @@ class TestRunScenario:
         report = run_scenario(sc, fresh(), PARAMS, max_iters=0)
         assert not report.converged and report.iterations == 0
         assert report.n_active == len(active_set(sc.points(), fresh().participating()[0]))
+
+
+class TestActiveSet:
+    """The polar-angle active set equals the dense association's, exactly."""
+
+    def test_default_scenarios_at_scales_against_study_sets(self, monkeypatch):
+        seen = {}
+        real = simulate_mod.active_set
+
+        def recorded(points, directions):
+            seen.setdefault(directions.tobytes(), directions)
+            return real(points, directions)
+
+        monkeypatch.setattr(simulate_mod, "active_set", recorded)
+        sizes = (24, 48, 96, 192, 384)
+        for n in sizes:
+            for carry in (False, True):
+                permutation_similarity(default_scenarios(), AdaptationParams(n=n),
+                                       carry_over=carry)
+        assert len(seen) >= 2 * len(sizes)       # each base and each converged set
+        for factor in (0.5, ROW_183_SCALE, 1.0, 1.3, 2.0):
+            for sc in default_scenarios():
+                points = scaled(sc, factor).points()
+                for directions in seen.values():
+                    assert_active_set_exact(points, directions)
+
+    def test_study_needs_no_dense_association(self, monkeypatch):
+        # the row-183 near-tie is settled by the points around it
+        def dense(*args):
+            raise AssertionError("dense association called")
+
+        monkeypatch.setattr(simulate_mod, "associate", dense)
+        scenarios = [scaled(sc, ROW_183_SCALE) for sc in default_scenarios()]
+        for carry in (False, True):
+            report = permutation_similarity(scenarios, AdaptationParams(n=96), carry_over=carry)
+            assert report.non_converged == 0
+
+    def test_a_call_with_an_unsettled_row_is_associated_whole(self):
+        # row 183 lies between directions 47 and 48; with every other row
+        # that picks its own pick's rival moved to row 0, the rival is not
+        # picked by settled rows, so the call falls back. Only the whole
+        # call gives row 183's dense pick: associated alone it may differ.
+        points = scaled(default_scenarios()[0], ROW_183_SCALE).points().copy()
+        directions = ReferenceArchive.initialize(2, 96).participating()[0]
+        full = associate(points, directions)
+        assert full[183] in (47, 48)
+        rival = 95 - full[183]
+        points[(full == rival) & (np.arange(len(points)) != 183)] = points[0]
+        assert_active_set_exact(points, directions)
+        assert rival not in active_set(points, directions)
+
+    def test_random_points_and_directions(self):
+        rng = np.random.default_rng(11)
+        for trial in range(400):
+            k = int(rng.integers(1, 80))
+            directions = rng.random((k, 2)) if trial % 2 else rng.normal(size=(k, 2))
+            points = rng.random((int(rng.integers(0, 300)), 2)) * 10.0 ** rng.uniform(-3, 3)
+            assert_active_set_exact(points, directions)
+
+    @pytest.mark.parametrize("h", [3, 8, 23, 47, 95, 96, 191])
+    def test_mirror_symmetric_directions_and_diagonal_points(self, h):
+        t = np.geomspace(1e-3, 1e3, 41)
+        diagonal = np.column_stack([t, t])
+        below = np.column_stack([t, np.nextafter(t, 0.0)])
+        above = np.column_stack([t, np.nextafter(t, np.inf)])
+        scene = scaled(default_scenarios()[0], ROW_183_SCALE).points()
+        lattice = simplex_lattice(2, h) / float(h)
+        archive = ReferenceArchive.initialize(2, h + 1)
+        archive.layers.append(archive.new_layer())
+        archive.live_count = 2
+        for directions in (lattice, lattice[::-1], archive.participating()[0]):
+            for points in (diagonal, below, above, ROW_183, scene,
+                           np.vstack([diagonal, below, above]), np.vstack([scene, diagonal])):
+                assert_active_set_exact(points, directions)
+            for row in np.vstack([diagonal, below, above]):
+                assert_active_set_exact(row[None, :], directions)
+
+    def test_duplicated_directions(self):
+        rng = np.random.default_rng(12)
+        base = simplex_lattice(2, 12) / 12.0
+        points = np.vstack([default_scenarios()[0].points(), rng.random((50, 2)),
+                            [[1.0, 1.0], [0.0, 1.0]]])
+        for directions in (np.vstack([base, base]), np.repeat(base, 3, axis=0),
+                           np.vstack([base, 2.0 * base]), base[rng.integers(0, 13, 40)]):
+            assert_active_set_exact(points, directions)
+            assert_active_set_exact(points[:1], directions)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_one_to_four_directions(self, k):
+        rng = np.random.default_rng(k)
+        for trial in range(50):
+            directions = rng.random((k, 2)) if trial % 2 else rng.normal(size=(k, 2))
+            points = rng.normal(size=(int(rng.integers(0, 40)), 2))
+            assert_active_set_exact(points, directions)
+            assert_active_set_exact(default_scenarios()[1].points(), directions)
+
+    def test_points_outside_the_directions_range_and_zero_norm_points(self):
+        a = np.radians(np.arange(20.0, 71.0, 5.0))
+        directions = np.column_stack([np.cos(a), np.sin(a)])
+        b = np.radians(np.linspace(-180.0, 180.0, 721))
+        points = np.vstack([np.column_stack([np.cos(b), np.sin(b)]),
+                            [[-1.0, 0.0], [-1.0, -0.0], [3.0, 0.0], [0.0, 3.0]]])
+        zeros = np.zeros((3, 2))
+        for q in (directions, directions[::-1]):
+            assert_active_set_exact(points, q)
+            assert_active_set_exact(points[300:310], q)
+            assert_active_set_exact(np.vstack([points[300:310], zeros]), q)
+            assert_active_set_exact(zeros, q)
+            assert_active_set_exact(np.empty((0, 2)), q)
+        assert active_set(zeros, directions).tolist() == [0]
+
+    def test_points_must_be_two_dimensional(self):
+        with pytest.raises(ValueError):
+            active_set(np.ones((4, 3)), np.ones((2, 3)) / 3.0)
+
+    def test_bad_directions_raise_as_in_associate(self):
+        points = default_scenarios()[0].points()
+        for directions in ([[0.0, 0.0], [1.0, 0.0]], np.empty((0, 2))):
+            with pytest.raises(ValueError):
+                active_set(points, directions)
+
+
+class TestLayerReuse:
+    def test_memo_hits_report_what_builds_report(self):
+        def reports(clear):
+            # each scenario on a fresh archive, then all on one archive
+            scenarios = default_scenarios() + [partial_arc_scenario(), quarter_circle_scenario()]
+            archives = [fresh() for _ in scenarios] + [fresh()] * len(scenarios)
+            out = []
+            for sc, archive in zip(scenarios + scenarios, archives):
+                if clear:
+                    reference_mod._base_lattice.cache_clear()
+                    reference_mod._new_layer.cache_clear()
+                out.append(run_scenario(sc, archive, PARAMS).to_dict())
+            return out
+
+        built = reports(clear=True)
+        before = reference_mod._new_layer.cache_info().hits
+        assert reports(clear=False) == built
+        assert reference_mod._new_layer.cache_info().hits > before
+
+    def test_archives_sharing_layers_adapt_independently(self):
+        # the autouse fixture checks both archives after every adapt
+        a, b = fresh(), fresh()
+        run_scenario(partial_arc_scenario(), a, PARAMS)
+        run_scenario(partial_arc_scenario(), b, PARAMS)
+        assert a.layers[1].assoc is b.layers[1].assoc
+        keys = enabled_point_keys(b)
+        run_scenario(quarter_circle_scenario(), a, PARAMS)
+        assert enabled_point_keys(b) == keys
 
 
 class TestSimilarity:
