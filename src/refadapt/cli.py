@@ -68,6 +68,8 @@ def _merge_run_options(args) -> dict:
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
             file_opts = json.load(fh)
+        if not isinstance(file_opts, dict):
+            raise ConfigError("config file must hold a JSON object")
         unknown = set(file_opts) - set(_RUN_DEFAULTS)
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
@@ -84,33 +86,34 @@ def _build_config(opts: dict) -> RunConfig:
         if opts[required] is None:
             raise ConfigError(f"missing required option --{required.replace('_', '-')}")
     seeds = opts["seeds"]
-    if isinstance(seeds, str):
-        seeds = parse_seeds(seeds)
-    else:
-        seeds = tuple(int(s) for s in seeds)
+    try:
+        seeds = parse_seeds(seeds) if isinstance(seeds, str) else tuple(int(s) for s in seeds)
+        config = RunConfig(
+            problem=str(opts["problem"]),
+            m=int(opts["m"]),
+            d=None if opts["d"] is None else int(opts["d"]),
+            n=int(opts["n"]),
+            max_evals=int(opts["evals"]),
+            w=int(opts["w"]),
+            theta=float(opts["theta"]),
+            variation=VariationParams(
+                eta_c=float(opts["eta_c"]),
+                eta_m=float(opts["eta_m"]),
+                p_c=float(opts["p_c"]),
+                p_m=None if opts["p_m"] is None else float(opts["p_m"]),
+            ),
+            seeds=seeds,
+            igd_samples=int(opts["igd_samples"]),
+            sample_points=int(opts["sample_points"]),
+            out_dir=opts["out"],
+            use_ia=not bool(opts["no_ia"]),
+            adapt_refs=not bool(opts["fixed_z"]),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad option value: {exc}") from exc
     if not seeds:
         raise ConfigError("empty seed list")
-    return RunConfig(
-        problem=str(opts["problem"]),
-        m=int(opts["m"]),
-        d=None if opts["d"] is None else int(opts["d"]),
-        n=int(opts["n"]),
-        max_evals=int(opts["evals"]),
-        w=int(opts["w"]),
-        theta=float(opts["theta"]),
-        variation=VariationParams(
-            eta_c=float(opts["eta_c"]),
-            eta_m=float(opts["eta_m"]),
-            p_c=float(opts["p_c"]),
-            p_m=None if opts["p_m"] is None else float(opts["p_m"]),
-        ),
-        seeds=seeds,
-        igd_samples=int(opts["igd_samples"]),
-        sample_points=int(opts["sample_points"]),
-        out_dir=opts["out"],
-        use_ia=not bool(opts["no_ia"]),
-        adapt_refs=not bool(opts["fixed_z"]),
-    )
+    return config
 
 
 def _cmd_run(args) -> int:

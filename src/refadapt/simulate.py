@@ -212,73 +212,35 @@ class ScenarioReport:
         }
 
 
-# Sorted neighbours scored on each side of a point's polar angle, and how
-# close to a row's largest window cosine another cosine must come to be a
-# rival: far above ``core._NEAR_TIE`` plus the few ulps between these
-# cosines and the dense product's.
-_WINDOW = 2
-_MARGIN = 1e-11
+# Distinct (points, directions) calls whose active sets ``active_set``
+# keeps; a study repeats 8-12 of them.
+ACTIVE_SET_MEMO_SIZE = 16
+_active_sets: dict = {}
 
 
 def active_set(points: np.ndarray, directions: np.ndarray) -> np.ndarray:
-    """Indices of the directions activated by the scenario points.
+    """Indices of the directions activated by the scenario points, read-only.
 
-    Equal to ``np.unique(associate(points, directions))``. The polar-angle
-    search below settles the usual call; any call it cannot settle is
-    returned by that dense expression on the unchanged arguments, never
-    on a subset of rows, because the dense pick among near-tied rivals
-    depends on the shape of the matrix product. Points must be 2-D.
+    ``np.unique(associate(points, directions))``, computed once per
+    distinct call: the ``ACTIVE_SET_MEMO_SIZE`` latest distinct calls are
+    kept, keyed by each argument's content, shape and strides, and a miss
+    associates the caller's arrays unchanged, because the dense pick
+    among near-tied directions depends on the layout the matrix product
+    reads. Points must be 2-D.
     """
     P = np.asarray(points, dtype=float)
     if P.ndim != 2 or P.shape[1] != 2:
         raise ValueError("active_set takes (n, 2) scenario points")
-    active = _polar_active_set(P, np.asarray(directions, dtype=float))
-    return np.unique(associate(points, directions)) if active is None else active
-
-
-def _polar_active_set(P: np.ndarray, Q: np.ndarray) -> np.ndarray | None:
-    """``active_set`` by polar angle, or None where it cannot be certain.
-
-    Each point is placed among the directions sorted by ``arctan2`` and
-    scored against two sorted neighbours on each side, circularly. Its
-    nearest direction is one of the two around it, and every direction
-    outside the window lies farther than a window edge. So a point is
-    settled when exactly one window cosine comes within 1e-11 of its
-    largest and is not at an edge: ``associate`` picks that one in any
-    call. A point with several such rivals, none at an edge, leaves the
-    set as it is when settled points picked all of them. Zero-norm points
-    activate index 0, as in ``associate``. Directions that are empty or
-    not 2-D give None, and so does a zero-norm direction or any norm that
-    is non-finite or outside (1e-100, 1e100), where squared coordinates
-    lose the precision the margin relies on.
-    """
-    if Q.ndim != 2 or Q.shape[1] != 2 or not len(Q):
-        return None
-    pn = np.linalg.norm(P, axis=1)
-    qn = np.linalg.norm(Q, axis=1)
-    scale = np.concatenate([pn[pn != 0.0], qn])
-    if not np.all((1e-100 < scale) & (scale < 1e100)):
-        return None
-    angle = np.arctan2(Q[:, 1], Q[:, 0])
-    order = np.argsort(angle, kind="stable")
-    U = (Q / qn[:, None])[order]
-    nz = pn > 0.0
-    V = P[nz] / pn[nz, None]
-    # window of sorted positions around each point: two below, two above
-    pos = np.searchsorted(angle[order], np.arctan2(V[:, 1], V[:, 0]))
-    win = (pos[:, None] + np.arange(-_WINDOW, _WINDOW)) % len(Q)
-    cos = V[:, :1] * U[win, 0] + V[:, 1:] * U[win, 1]
-    near = cos >= cos.max(axis=1, keepdims=True) - _MARGIN
-    edge = near[:, 0] | near[:, -1]
-    settled = ~edge & (near.sum(axis=1) == 1)
-    hit = np.zeros(len(Q), dtype=bool)           # by sorted position
-    hit[win[settled, cos[settled].argmax(axis=1)]] = True
-    if (edge | (near & ~hit[win]).any(axis=1)).any():
-        return None
-    active = np.zeros(len(Q), dtype=bool)
-    active[order[hit]] = True
-    active[0] |= not nz.all()
-    return np.flatnonzero(active)
+    key = tuple((A.tobytes(), A.shape, A.strides)
+                for A in (P, np.asarray(directions, dtype=float)))
+    active = _active_sets.get(key)
+    if active is None:
+        active = np.unique(associate(points, directions))
+        active.flags.writeable = False
+        if len(_active_sets) >= ACTIVE_SET_MEMO_SIZE:
+            del _active_sets[next(iter(_active_sets))]
+        _active_sets[key] = active
+    return active
 
 
 def run_scenario(

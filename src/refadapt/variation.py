@@ -27,7 +27,7 @@ class VariationParams:
     p_m: float | None = None
 
     def __post_init__(self):
-        if self.eta_c <= 0 or self.eta_m <= 0:
+        if not (self.eta_c > 0 and self.eta_m > 0):
             raise ValueError("distribution indices must be positive")
         if not 0.0 <= self.p_c <= 1.0:
             raise ValueError("crossover probability must lie in [0, 1]")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -61,6 +62,26 @@ class TestExitCodes:
         assert main(["run", "--problem", "dtlz2", "--m", "3", "--n", "20",
                      "--evals", "1500", "--sample-points", "1"]) == 1
 
+    @pytest.mark.parametrize("flag", ["--eta-c", "--eta-m"])
+    def test_nan_distribution_index_is_config_error(self, flag):
+        assert main(["run", "--problem", "dtlz2", "--m", "3", "--n", "20",
+                     "--evals", "200", flag, "nan"]) == 1
+
+    @pytest.mark.parametrize("content", [
+        {"seeds": 5},
+        {"m": [3]},
+        {"theta": {"x": 1}},
+        [1, 2],
+        "dtlz2",
+    ], ids=["int_seeds", "list_m", "dict_theta", "list_file", "string_file"])
+    def test_wrong_typed_config_file_is_config_error(self, tmp_path, content):
+        opts = {"problem": "dtlz2", "m": 3, "n": 20, "evals": 200}
+        if isinstance(content, dict):
+            content = {**opts, **content}
+        cfg_file = tmp_path / "config.json"
+        cfg_file.write_text(json.dumps(content))
+        assert main(["run", "--config", str(cfg_file)]) == 1
+
 
 class TestRunCommand:
     def test_end_to_end_with_outputs(self, tmp_path):
@@ -117,3 +138,40 @@ class TestSimulateCommand:
         report = json.loads((out / "report.json").read_text())
         assert report["permutation_study"]["mean_similarity"] == 100.0
         assert (out / "similarity_matrix.csv").exists()
+
+
+# sha256 of report.json and similarity_matrix.csv (None where not written)
+# from `refadapt simulate --scenarios scenarios/fractal_default.json`
+SIMULATE_FORMS = {
+    "plain": (),
+    "permutations": ("--permutations",),
+    "carry_over": ("--permutations", "--carry-over"),
+}
+SIMULATE_PINNED = {
+    ("plain", 24): ("88e6241adde055bb676574fe06bd98345701c0b74fb3a9fd3ee7b90dc408a23c", None),
+    ("plain", 96): ("d4cef85dcfe91533354573b3559b7f86a0471bbf1ce4fa64d3a50b278f7037ad", None),
+    ("plain", 384): ("babcdecb34098a9632bab679edf83d4d1f4a1550a707c27605a21ac4e9e677d5", None),
+    ("permutations", 24): ("9c0d8367d223cb349a847c5f36bc75d5e24ddf3fb97e8e630c9bd6a83dedd29d",
+                           "d833f978ca8db916f0a1ed58072e642123f7dd5a85114c4fcf7628301d54848e"),
+    ("permutations", 96): ("7f7f547c3f52a1ab846d02d536940c1347b35501b6962d4a3f7f99902ea12445",
+                           "d833f978ca8db916f0a1ed58072e642123f7dd5a85114c4fcf7628301d54848e"),
+    ("permutations", 384): ("bbac499530ce81b006fed6da7b87261e7c51884b6ef5ec824b20def8d71a8719",
+                            "d833f978ca8db916f0a1ed58072e642123f7dd5a85114c4fcf7628301d54848e"),
+    ("carry_over", 24): ("eb5432456da90e008795b8302e24360280d04a6f0d7b5c15ae6e1b705c959de7",
+                         "d833f978ca8db916f0a1ed58072e642123f7dd5a85114c4fcf7628301d54848e"),
+    ("carry_over", 96): ("586bfa6b5801ad22cb411aa1c9cb15983a4210d63bed75e5957b6f2707536f7b",
+                         "d833f978ca8db916f0a1ed58072e642123f7dd5a85114c4fcf7628301d54848e"),
+    ("carry_over", 384): ("5e8b82adbe413ea4702401ecca2b1c43549571066bb4fd4434f35e3823740b0e",
+                          "0f7a17a164899d968751dc14a8738f21ddbc79c2d76f7de49bae564e2a98c043"),
+}
+
+
+@pytest.mark.parametrize("form, n", SIMULATE_PINNED)
+def test_simulate_outputs_pinned(tmp_path, form, n):
+    assert main(["simulate", "--scenarios", str(SCENARIOS), "--n", str(n),
+                 *SIMULATE_FORMS[form], "--out", str(tmp_path)]) == 0
+    got = tuple(
+        hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else None
+        for path in (tmp_path / "report.json", tmp_path / "similarity_matrix.csv")
+    )
+    assert got == SIMULATE_PINNED[form, n]

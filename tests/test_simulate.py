@@ -10,6 +10,7 @@ import refadapt.reference as reference_mod
 from refadapt.reference import ReferenceArchive, simplex_lattice
 import refadapt.simulate as simulate_mod
 from refadapt.simulate import (
+    ACTIVE_SET_MEMO_SIZE,
     ArcSegment,
     LineSegment,
     Scenario,
@@ -81,6 +82,26 @@ def assert_active_set_exact(points, directions):
     want = active_set_oracle(points, directions)
     assert got.dtype == want.dtype
     assert np.array_equal(got, want), (got, want)
+
+
+def record_active_set_calls(monkeypatch):
+    """Empty the active-set memo, then record the distinct (points,
+    directions) pairs passed to ``active_set`` and each dense call it makes."""
+    seen, associated = set(), []
+    active, dense = simulate_mod.active_set, simulate_mod.associate
+
+    def recorded(points, directions):
+        seen.add(tuple((np.asarray(a).tobytes(), np.shape(a)) for a in (points, directions)))
+        return active(points, directions)
+
+    def counted(points, directions):
+        associated.append(len(points))
+        return dense(points, directions)
+
+    simulate_mod._active_sets.clear()
+    monkeypatch.setattr(simulate_mod, "active_set", recorded)
+    monkeypatch.setattr(simulate_mod, "associate", counted)
+    return seen, associated
 
 
 class TestScenarioGeometry:
@@ -190,7 +211,8 @@ class TestRunScenario:
 
 
 class TestActiveSet:
-    """The polar-angle active set equals the dense association's, exactly."""
+    """The memoised active set equals the dense association's, exactly,
+    and each distinct call of a study is associated once."""
 
     def test_default_scenarios_at_scales_against_study_sets(self, monkeypatch):
         seen = {}
@@ -213,22 +235,59 @@ class TestActiveSet:
                 for directions in seen.values():
                     assert_active_set_exact(points, directions)
 
-    def test_study_needs_no_dense_association(self, monkeypatch):
-        # the row-183 near-tie is settled by the points around it
-        def dense(*args):
-            raise AssertionError("dense association called")
-
-        monkeypatch.setattr(simulate_mod, "associate", dense)
+    def test_study_associates_each_distinct_call_once(self, monkeypatch):
+        # at the scale of the row-183 near-tie, in both modes
         scenarios = [scaled(sc, ROW_183_SCALE) for sc in default_scenarios()]
         for carry in (False, True):
-            report = permutation_similarity(scenarios, AdaptationParams(n=96), carry_over=carry)
+            with monkeypatch.context() as patch:
+                seen, associated = record_active_set_calls(patch)
+                report = permutation_similarity(scenarios, AdaptationParams(n=96),
+                                                carry_over=carry)
             assert report.non_converged == 0
+            assert 0 < len(associated) == len(seen)
+
+    def test_memo_stays_within_its_bound(self, monkeypatch):
+        seen, associated = record_active_set_calls(monkeypatch)
+        permutation_similarity(default_scenarios(), AdaptationParams(n=384), carry_over=True)
+        assert len(seen) == 12
+        assert len(associated) == 12 == len(simulate_mod._active_sets)
+        # distinct random calls past the bound evict the oldest first
+        rng = np.random.default_rng(13)
+        calls = [(rng.random((30, 2)), rng.random((7, 2))) for _ in range(40)]
+        for points, directions in calls:
+            assert_active_set_exact(points, directions)
+            assert len(simulate_mod._active_sets) <= ACTIVE_SET_MEMO_SIZE
+        assert len(simulate_mod._active_sets) == ACTIVE_SET_MEMO_SIZE
+        before = len(associated)
+        active_set(*calls[-1])
+        assert len(associated) == before
+        active_set(*calls[0])
+        assert len(associated) == before + 1
+
+    def test_results_are_read_only(self):
+        simulate_mod._active_sets.clear()
+        points = default_scenarios()[0].points()
+        directions = ReferenceArchive.initialize(2, 24).participating()[0]
+        for _ in range(2):                       # a miss, then a hit
+            active = active_set(points, directions)
+            assert not active.flags.writeable
+            with pytest.raises(ValueError):
+                active[0] = 1
+
+    def test_a_raising_call_stores_nothing_and_raises_again(self):
+        simulate_mod._active_sets.clear()
+        points = default_scenarios()[0].points()
+        for directions in ([[0.0, 0.0], [1.0, 0.0]], np.empty((0, 2))):
+            for _ in range(2):
+                with pytest.raises(ValueError):
+                    active_set(points, directions)
+        assert not simulate_mod._active_sets
 
     def test_a_call_with_an_unsettled_row_is_associated_whole(self):
         # row 183 lies between directions 47 and 48; with every other row
-        # that picks its own pick's rival moved to row 0, the rival is not
-        # picked by settled rows, so the call falls back. Only the whole
-        # call gives row 183's dense pick: associated alone it may differ.
+        # that picks its own pick's rival moved to row 0, only row 183
+        # decides whether the rival is active. Only the whole call gives
+        # row 183's dense pick: associated alone it may differ.
         points = scaled(default_scenarios()[0], ROW_183_SCALE).points().copy()
         directions = ReferenceArchive.initialize(2, 96).participating()[0]
         full = associate(points, directions)
@@ -257,11 +316,16 @@ class TestActiveSet:
         archive = ReferenceArchive.initialize(2, h + 1)
         archive.layers.append(archive.new_layer())
         archive.live_count = 2
-        for directions in (lattice, lattice[::-1], archive.participating()[0]):
+        # the reversed view and its contiguous copy hold the same values,
+        # yet a single diagonal row may pick differently against each
+        variants = (lattice, lattice[::-1], np.ascontiguousarray(lattice[::-1]),
+                    archive.participating()[0])
+        for directions in variants:
             for points in (diagonal, below, above, ROW_183, scene,
                            np.vstack([diagonal, below, above]), np.vstack([scene, diagonal])):
                 assert_active_set_exact(points, directions)
-            for row in np.vstack([diagonal, below, above]):
+        for row in np.vstack([diagonal, below, above]):
+            for directions in variants:
                 assert_active_set_exact(row[None, :], directions)
 
     def test_duplicated_directions(self):

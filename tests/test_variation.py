@@ -27,6 +27,14 @@ class _FixedRng:
 BOUNDS = (np.zeros(2), np.ones(2))
 
 
+class TestParams:
+    @pytest.mark.parametrize("value", [float("nan"), 0.0, -1.0])
+    @pytest.mark.parametrize("field", ["eta_c", "eta_m"])
+    def test_distribution_index_must_be_positive(self, field, value):
+        with pytest.raises(ValueError):
+            VariationParams(**{field: value})
+
+
 class TestSbx:
     def test_unit_spread_factor_reproduces_parents(self):
         # u = 0.5 makes beta = 1 exactly
