@@ -11,7 +11,7 @@ adaptation attempt is due.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -55,13 +55,7 @@ class AdaptationEvent:
     participating_after: int
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "generation": self.generation,
-            "active_before": self.active_before,
-            "active_after": self.active_after,
-            "participating_after": self.participating_after,
-        }
+        return asdict(self)
 
 
 def adapt(

@@ -41,83 +41,77 @@ def parse_seeds(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(",") if part)
 
 
-_RUN_DEFAULTS = {
-    "problem": None,
-    "m": None,
-    "d": None,
-    "n": None,
-    "evals": None,
-    "w": 20,
-    "theta": 0.2,
-    "seeds": "1",
-    "out": None,
-    "igd_samples": 10_000,
-    "sample_points": 101,
-    "eta_c": 20.0,
-    "eta_m": 20.0,
-    "p_c": 1.0,
-    "p_m": None,
-    "no_ia": False,
-    "fixed_z": False,
+# Each `run` option once: its config-file key (the flag is `--` plus the key
+# with dashes), the JSON types the file may give it (the first also parses
+# the flag) and its help. Defaults live in RunConfig and VariationParams:
+# an option given neither in the file nor as a flag is not passed on.
+_NULL = type(None)
+_RUN_OPTIONS = {
+    "problem": ((str,), "benchmark name, e.g. dtlz2 or maf1"),
+    "m": ((int,), "objective count"),
+    "d": ((int, _NULL), "decision-variable count (problem default if omitted)"),
+    "n": ((int,), "population size"),
+    "evals": ((int,), "evaluation budget"),
+    "w": ((int,), f"stability window (default {RunConfig.w})"),
+    "theta": ((float, int), f"adaptation tolerance ratio (default {AdaptationParams.theta})"),
+    "seeds": ((str, list), "seed list: '7', '1,5,9' or '1..20'"),
+    "out": ((str, _NULL), "output directory"),
+    "igd_samples": ((int,), None),
+    "sample_points": ((int,), None),
+    "eta_c": ((float, int), None),
+    "eta_m": ((float, int), None),
+    "p_c": ((float, int), None),
+    "p_m": ((float, int, _NULL), None),
+    "no_ia": ((bool,), "ablation: adapt from population activity, no individual archive"),
+    "fixed_z": ((bool,), "ablation: keep the base reference set, no adaptation"),
 }
+_JSON_NAMES = {str: "a string", int: "an integer", float: "a float", bool: "true or false",
+               list: "a list of integers", _NULL: "null"}
 
 
-def _merge_run_options(args) -> dict:
-    """Defaults < config file < explicit flags."""
-    merged = dict(_RUN_DEFAULTS)
+def _file_value(key: str, value):
+    """A config-file value of the type the table gives its key, else ConfigError."""
+    types = _RUN_OPTIONS[key][0]
+    # exact types: JSON true is no integer, and 3.7 no objective count
+    if type(value) not in types or (type(value) is list and any(type(s) is not int for s in value)):
+        expected = " or ".join(_JSON_NAMES[t] for t in types)
+        raise ConfigError(f"config key {key!r} takes {expected}, got {json.dumps(value)}")
+    return float(value) if type(value) is int and float in types else value
+
+
+def _build_config(args) -> RunConfig:
+    """RunConfig from the config file, overridden by explicit flags."""
+    opts = {}
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
             file_opts = json.load(fh)
         if not isinstance(file_opts, dict):
             raise ConfigError("config file must hold a JSON object")
-        unknown = set(file_opts) - set(_RUN_DEFAULTS)
+        unknown = set(file_opts) - set(_RUN_OPTIONS)
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-        merged.update(file_opts)
-    for key in _RUN_DEFAULTS:
-        value = getattr(args, key, None)
-        if value is not None and value is not False:
-            merged[key] = value
-    return merged
-
-
-def _build_config(opts: dict) -> RunConfig:
+        opts = {key: _file_value(key, value) for key, value in file_opts.items()}
+    opts.update((key, getattr(args, key)) for key in _RUN_OPTIONS if hasattr(args, key))
     for required in ("problem", "m", "n", "evals"):
-        if opts[required] is None:
-            raise ConfigError(f"missing required option --{required.replace('_', '-')}")
-    seeds = opts["seeds"]
-    try:
-        seeds = parse_seeds(seeds) if isinstance(seeds, str) else tuple(int(s) for s in seeds)
-        config = RunConfig(
-            problem=str(opts["problem"]),
-            m=int(opts["m"]),
-            d=None if opts["d"] is None else int(opts["d"]),
-            n=int(opts["n"]),
-            max_evals=int(opts["evals"]),
-            w=int(opts["w"]),
-            theta=float(opts["theta"]),
-            variation=VariationParams(
-                eta_c=float(opts["eta_c"]),
-                eta_m=float(opts["eta_m"]),
-                p_c=float(opts["p_c"]),
-                p_m=None if opts["p_m"] is None else float(opts["p_m"]),
-            ),
-            seeds=seeds,
-            igd_samples=int(opts["igd_samples"]),
-            sample_points=int(opts["sample_points"]),
-            out_dir=opts["out"],
-            use_ia=not bool(opts["no_ia"]),
-            adapt_refs=not bool(opts["fixed_z"]),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad option value: {exc}") from exc
-    if not seeds:
-        raise ConfigError("empty seed list")
-    return config
+        if required not in opts:
+            raise ConfigError(f"missing required option --{required}")
+    opts["variation"] = VariationParams(
+        **{key: opts.pop(key) for key in ("eta_c", "eta_m", "p_c", "p_m") if key in opts})
+    opts["max_evals"] = opts.pop("evals")
+    if "out" in opts:
+        opts["out_dir"] = opts.pop("out")
+    if "no_ia" in opts:
+        opts["use_ia"] = not opts.pop("no_ia")
+    if "fixed_z" in opts:
+        opts["adapt_refs"] = not opts.pop("fixed_z")
+    if "seeds" in opts:
+        seeds = opts["seeds"]
+        opts["seeds"] = parse_seeds(seeds) if isinstance(seeds, str) else tuple(seeds)
+    return RunConfig(**opts)
 
 
 def _cmd_run(args) -> int:
-    config = _build_config(_merge_run_options(args))
+    config = _build_config(args)
     result = experiment(config)
     summary = result.summary
     print(f"problem={summary['problem']} m={summary['m']} n={summary['n']} "
@@ -133,8 +127,9 @@ def _cmd_run(args) -> int:
 
 def _cmd_simulate(args) -> int:
     scenarios = load_scenarios(args.scenarios)
-    params = AdaptationParams(n=args.n, theta=args.theta)
-    report: dict = {"n": args.n, "theta": args.theta, "scenarios": []}
+    params = (AdaptationParams(args.n) if args.theta is None
+              else AdaptationParams(args.n, args.theta))
+    report: dict = {"n": args.n, "theta": params.theta, "scenarios": []}
     for scenario in scenarios:
         archive = ReferenceArchive.initialize(2, args.n)
         outcome = run_scenario(scenario, archive, params)
@@ -170,33 +165,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="refadapt", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run a multi-seed benchmark experiment")
-    p_run.add_argument("--config", help="JSON file mirroring the flags; flags override")
-    p_run.add_argument("--problem", help="benchmark name, e.g. dtlz2 or maf1")
-    p_run.add_argument("--m", type=int, help="objective count")
-    p_run.add_argument("--d", type=int, help="decision-variable count (problem default if omitted)")
-    p_run.add_argument("--n", type=int, help="population size")
-    p_run.add_argument("--evals", type=int, help="evaluation budget")
-    p_run.add_argument("--w", type=int, help="stability window (default 20)")
-    p_run.add_argument("--theta", type=float, help="adaptation tolerance ratio (default 0.2)")
-    p_run.add_argument("--seeds", help="seed list: '7', '1,5,9' or '1..20'")
-    p_run.add_argument("--out", help="output directory")
-    p_run.add_argument("--igd-samples", dest="igd_samples", type=int)
-    p_run.add_argument("--sample-points", dest="sample_points", type=int)
-    p_run.add_argument("--eta-c", dest="eta_c", type=float)
-    p_run.add_argument("--eta-m", dest="eta_m", type=float)
-    p_run.add_argument("--p-c", dest="p_c", type=float)
-    p_run.add_argument("--p-m", dest="p_m", type=float)
-    p_run.add_argument("--no-ia", dest="no_ia", action="store_true",
-                       help="ablation: adapt from population activity, no individual archive")
-    p_run.add_argument("--fixed-z", dest="fixed_z", action="store_true",
-                       help="ablation: keep the base reference set, no adaptation")
+    # an absent flag leaves no attribute, so the config file or the default holds
+    p_run = sub.add_parser("run", help="run a multi-seed benchmark experiment",
+                           argument_default=argparse.SUPPRESS)
+    p_run.add_argument("--config", default=None,
+                       help="JSON file mirroring the flags; flags override")
+    for key, (types, help_text) in _RUN_OPTIONS.items():
+        flag = "--" + key.replace("_", "-")
+        if types[0] is bool:
+            p_run.add_argument(flag, action="store_true", help=help_text)
+        else:
+            p_run.add_argument(flag, type=types[0], help=help_text)
     p_run.set_defaults(func=_cmd_run)
 
     p_sim = sub.add_parser("simulate", help="drive the adaptation engine on scenario files")
     p_sim.add_argument("--scenarios", required=True, help="scenario JSON file")
     p_sim.add_argument("--n", type=int, required=True, help="target active count")
-    p_sim.add_argument("--theta", type=float, default=0.2)
+    p_sim.add_argument("--theta", type=float)
     p_sim.add_argument("--permutations", action="store_true",
                        help="run the order-insensitivity study over all scenario orders")
     p_sim.add_argument("--carry-over", dest="carry_over", action="store_true",

@@ -29,7 +29,7 @@ class ProblemSpec:
     upper: np.ndarray
     fos_kind: str                    # "full" | "partial"
     _evaluate: Callable = field(repr=False)
-    _pf_sampler: Callable | None = field(repr=False, default=None)
+    _pf_sampler: Callable = field(repr=False)
 
     def evaluate(self, x) -> np.ndarray:
         """Objective values of one solution or a batch of solutions."""
@@ -47,8 +47,6 @@ class ProblemSpec:
         """``n`` deterministic, well-spread points of the known front."""
         if n < 1:
             raise ValueError("need at least one front sample")
-        if self._pf_sampler is None:
-            raise ValueError(f"{self.name} has no closed-form front sampler")
         return self._pf_sampler(self.m, n)
 
 

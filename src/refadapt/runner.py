@@ -49,7 +49,7 @@ class RunConfig:
     max_evals: int
     d: int | None = None
     w: int = 20
-    theta: float = 0.2
+    theta: float = AdaptationParams.theta
     variation: VariationParams = field(default_factory=VariationParams)
     seeds: tuple[int, ...] = (1,)
     igd_samples: int = 10_000
@@ -75,6 +75,10 @@ class RunConfig:
             )
         if not self.seeds:
             raise ConfigError("need at least one seed")
+        if len(set(self.seeds)) < len(self.seeds):
+            raise ConfigError(f"seeds must be distinct, got {list(self.seeds)}")
+        if min(self.seeds) < 0:
+            raise ConfigError(f"seeds must be non-negative, got {min(self.seeds)}")
         if self.igd_samples < 1:
             raise ConfigError("IGD sample count must be positive")
         if self.sample_points < 2:

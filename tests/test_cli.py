@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from refadapt.cli import build_parser, main, parse_seeds
+from refadapt.cli import _RUN_OPTIONS, _build_config, build_parser, main, parse_seeds
+from refadapt.runner import RunConfig
+from refadapt.variation import VariationParams
 
 REPO = Path(__file__).resolve().parents[1]
 SCENARIOS = REPO / "scenarios" / "fractal_default.json"
@@ -67,13 +69,29 @@ class TestExitCodes:
         assert main(["run", "--problem", "dtlz2", "--m", "3", "--n", "20",
                      "--evals", "200", flag, "nan"]) == 1
 
+    @pytest.mark.parametrize("seeds", ["1,1", "-1"])
+    def test_duplicate_or_negative_seeds_are_config_errors(self, tmp_path, seeds):
+        out = tmp_path / "res"
+        assert main(["run", "--problem", "dtlz2", "--m", "3", "--n", "20",
+                     "--evals", "200", f"--seeds={seeds}", "--out", str(out)]) == 1
+        assert not out.exists()              # rejected before any seed runs
+
     @pytest.mark.parametrize("content", [
         {"seeds": 5},
         {"m": [3]},
         {"theta": {"x": 1}},
         [1, 2],
         "dtlz2",
-    ], ids=["int_seeds", "list_m", "dict_theta", "list_file", "string_file"])
+        {"no_ia": "false"},
+        {"fixed_z": "no"},
+        {"m": 3.7},
+        {"n": 20.9},
+        {"w": True},
+        {"theta": "0.3"},
+        {"seeds": [1.5]},
+    ], ids=["int_seeds", "list_m", "dict_theta", "list_file", "string_file",
+            "string_no_ia", "string_fixed_z", "float_m", "float_n", "bool_w",
+            "string_theta", "float_seed"])
     def test_wrong_typed_config_file_is_config_error(self, tmp_path, content):
         opts = {"problem": "dtlz2", "m": 3, "n": 20, "evals": 200}
         if isinstance(content, dict):
@@ -81,6 +99,50 @@ class TestExitCodes:
         cfg_file = tmp_path / "config.json"
         cfg_file.write_text(json.dumps(content))
         assert main(["run", "--config", str(cfg_file)]) == 1
+
+
+def _config_from(argv):
+    return _build_config(build_parser().parse_args(["run", *argv]))
+
+
+REQUIRED_FLAGS = ["--problem", "dtlz2", "--m", "3", "--n", "20", "--evals", "200"]
+
+
+class TestRunOptions:
+    def test_absent_options_take_library_defaults(self):
+        assert _config_from(REQUIRED_FLAGS) == RunConfig(problem="dtlz2", m=3, n=20, max_evals=200)
+
+    def test_config_file_matches_flags(self, tmp_path):
+        values = {
+            "problem": "maf1", "m": 4, "d": 9, "n": 30, "evals": 900, "w": 7,
+            "theta": 0.3, "seeds": "2..4", "out": "res", "igd_samples": 50,
+            "sample_points": 5, "eta_c": 15.0, "eta_m": 10.0, "p_c": 0.9,
+            "p_m": 0.25, "no_ia": True, "fixed_z": True,
+        }
+        assert set(values) == set(_RUN_OPTIONS)
+        flags = []
+        for key, value in values.items():
+            flag = "--" + key.replace("_", "-")
+            flags += [flag] if value is True else [flag, str(value)]
+        cfg_file = tmp_path / "config.json"
+        cfg_file.write_text(json.dumps(values))
+        from_flags = _config_from(flags)
+        assert _config_from(["--config", str(cfg_file)]) == from_flags
+        assert from_flags == RunConfig(
+            problem="maf1", m=4, d=9, n=30, max_evals=900, w=7, theta=0.3,
+            seeds=(2, 3, 4), out_dir="res", igd_samples=50, sample_points=5,
+            variation=VariationParams(eta_c=15.0, eta_m=10.0, p_c=0.9, p_m=0.25),
+            use_ia=False, adapt_refs=False,
+        )
+
+    def test_config_file_nulls_take_defaults(self, tmp_path):
+        cfg_file = tmp_path / "config.json"
+        cfg_file.write_text(json.dumps({
+            "problem": "dtlz2", "m": 3, "n": 20, "evals": 200,
+            "d": None, "p_m": None, "out": None, "seeds": [1, 2], "eta_c": 20,
+        }))
+        assert _config_from(["--config", str(cfg_file)]) == RunConfig(
+            problem="dtlz2", m=3, n=20, max_evals=200, seeds=(1, 2))
 
 
 class TestRunCommand:

@@ -31,6 +31,12 @@ class TestValidation:
         with pytest.raises(ConfigError):
             RunConfig(problem="dtlz2", m=3, n=20, max_evals=2000, seeds=()).validate()
 
+    @pytest.mark.parametrize("seeds", [(1, 1), (2, 1, 2), (-1,), (3, -2)],
+                             ids=["twice", "repeat", "negative", "one_negative"])
+    def test_duplicate_or_negative_seeds(self, seeds):
+        with pytest.raises(ConfigError):
+            RunConfig(problem="dtlz2", m=3, n=20, max_evals=2000, seeds=seeds).validate()
+
     def test_bad_theta_surfaces_as_config_error(self):
         with pytest.raises(ConfigError):
             RunConfig(problem="dtlz2", m=3, n=20, max_evals=2000, theta=1.5).validate()
