@@ -32,7 +32,6 @@ print("\nbase layer (M=2, H=4):", archive.layers[0].coords.tolist())
 
 layer = archive.new_layer()
 archive.layers.append(layer)
-archive.live_count += 1
 print(f"next layer H={layer.h} keeps only the new points:", layer.coords.tolist())
 print("each new vector is associated with its nearest coarse vector:",
       layer.assoc.tolist())

@@ -1,11 +1,10 @@
 """Reference-archive adaptation: the shrink and expand subroutines.
 
-Shrink reacts to too few active reference vectors by adding (or reviving)
-a denser layer and enabling only the new vectors associated with the
-currently active ones. Expand reacts to too many active vectors by
-back-propagating the activity of the densest layer onto the coarser ones
-and then retiring the densest layer. The runner decides when an
-adaptation attempt is due.
+Shrink reacts to too few active reference vectors by adding a denser
+layer and enabling only the new vectors associated with the currently
+active ones. Expand reacts to too many active vectors by back-propagating
+the activity of the densest layer onto the coarser ones and then dropping
+the densest layer. The runner decides when an adaptation attempt is due.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .core import associate
-from .reference import MAX_ASSOCIATION_PAIRS, MAX_LATTICE_POINTS, ReferenceArchive, lattice_size
+from .reference import MAX_ASSOCIATION_PAIRS, ReferenceArchive, lattice_size
 
 log = logging.getLogger(__name__)
 
@@ -79,7 +78,7 @@ def adapt(
         raise ValueError("active indices outside the participating set")
     # activity over the stacked live layers, the index space of a new
     # layer's ``assoc``
-    is_active = np.zeros(sum(len(layer) for layer in archive.live_layers()), dtype=bool)
+    is_active = np.zeros(sum(len(layer) for layer in archive.layers), dtype=bool)
     is_active[stacked[active]] = True
     n_active = int(is_active.sum())       # repeated indices count once
     low, high = params.band
@@ -90,9 +89,8 @@ def adapt(
     if n_active < low:
         target_h = 2 * archive.top_h
         # a new layer is associated with every stored vector, the full
-        # lattice at the top stored density; reviving a stored layer needs
-        # no association
-        builds = archive.live_count == len(archive.layers)
+        # lattice at the top stored density; within this pair bound the
+        # lattice at ``target_h`` also stays under MAX_LATTICE_POINTS
         stored = lattice_size(archive.m, archive.top_h)
         new = lattice_size(archive.m, target_h) - stored
         if target_h > DENSITY_CAP_FACTOR * archive.base_h:
@@ -100,37 +98,27 @@ def adapt(
                 "density cap reached (H=%d, base H=%d); shrink skipped",
                 archive.top_h, archive.base_h,
             )
-        elif lattice_size(archive.m, target_h) > MAX_LATTICE_POINTS:
-            # combinatorial blow-up guard for many objectives: treat an
-            # oversized lattice like the density cap instead of aborting
-            log.warning(
-                "lattice at H=%d would hold %d points; shrink skipped",
-                target_h, lattice_size(archive.m, target_h),
-            )
-        elif builds and new * stored > MAX_ASSOCIATION_PAIRS:
+        elif new * stored > MAX_ASSOCIATION_PAIRS:
             log.warning(
                 "new layer at H=%d would associate %d x %d vectors; shrink skipped",
                 target_h, new, stored,
             )
         else:
-            if builds:
-                archive.layers.append(archive.new_layer())
-            layer = archive.layers[archive.live_count]   # the new or the revived layer
+            layer = archive.new_layer()
             layer.enabled = is_active[layer.assoc]
-            archive.live_count += 1
+            archive.layers.append(layer)
             kind = "shrink"
 
     elif n_active > high:
-        if archive.live_count == 1:
+        if len(archive.layers) == 1:
             # the base layer is never removed; expanding past it would
             # empty the archive
             log.debug("expand requested with only the base layer live; skipped")
         else:
-            archive.live_count -= 1
-            top_dirs = archive.layers[archive.live_count].directions
+            top_dirs = archive.layers.pop().directions
             bottom = len(is_active) - len(top_dirs)
             # (lower x top) pairs, bounded as when the top layer was built
-            for lower_layer in archive.live_layers():
+            for lower_layer in archive.layers:
                 back = associate(lower_layer.directions, top_dirs)
                 lower_layer.enabled |= is_active[bottom:][back]
             kind = "expand"

@@ -32,6 +32,7 @@ MAX_ASSOCIATION_PAIRS = 2**25
 # Distinct base lattices and new layers kept per process. Every scenario
 # run of a permutation study starts from the same archive, so it builds the
 # same few (one of each per population size), and a small bound keeps them.
+# A shrink after an expand gets the retired layer's arrays back from here.
 LAYER_MEMO_SIZE = 16
 
 
@@ -89,10 +90,10 @@ class ReferenceLayer:
 
     ``assoc`` maps each vector to its angularly nearest vector among the
     stacked vectors of all lower layers (stack order, rows concatenated);
-    it is empty for the base layer. Layers are only appended above it and
-    it is enabled only at ``live_count`` equal to its position, so this
-    index space is the stacked live layers whenever the layer is enabled.
-    ``enabled`` marks the vectors that participate in selection.
+    it is empty for the base layer. Layers are only pushed onto and popped
+    off the top of the archive, so this index space is the stacked layers
+    below the layer for as long as it is in the archive. ``enabled`` marks
+    the vectors that participate in selection.
     """
 
     h: int
@@ -111,19 +112,18 @@ class ReferenceLayer:
 class ReferenceArchive:
     """Ordered stack of reference layers with doubling densities.
 
-    ``layers`` may hold more layers than are live: removing the top layer
-    is symbolic (``live_count`` drops), and a later densification revives
-    the stored layer instead of regenerating it. The base layer is always
-    live and fully enabled at initialization, so the participating set is
-    never empty.
+    ``layers`` holds the live layers, base first. Retiring the top layer
+    drops it; a later densification builds it again through the layer
+    memo, which hands back the same ``coords`` and ``assoc``. The base
+    layer is never removed and is fully enabled at initialization, so the
+    participating set is never empty.
     """
 
-    def __init__(self, m: int, layers: list[ReferenceLayer], live_count: int | None = None):
+    def __init__(self, m: int, layers: list[ReferenceLayer]):
         if not layers:
             raise ValueError("archive needs at least a base layer")
         self.m = m
         self.layers = layers
-        self.live_count = len(layers) if live_count is None else live_count
 
     @classmethod
     def initialize(cls, m: int, n: int) -> "ReferenceArchive":
@@ -139,10 +139,7 @@ class ReferenceArchive:
 
     @property
     def top_h(self) -> int:
-        return self.layers[self.live_count - 1].h
-
-    def live_layers(self) -> list[ReferenceLayer]:
-        return self.layers[: self.live_count]
+        return self.layers[-1].h
 
     def participating(self) -> tuple[np.ndarray, np.ndarray]:
         """Enabled vectors of the live layers.
@@ -153,11 +150,10 @@ class ReferenceArchive:
         order, so participating indices are stable between calls that do
         not mutate the archive.
         """
-        live = self.live_layers()
-        stacked = np.flatnonzero(np.concatenate([layer.enabled for layer in live]))
+        stacked = np.flatnonzero(np.concatenate([layer.enabled for layer in self.layers]))
         if not len(stacked):
             raise ValueError("participating reference-vector set is empty")
-        return np.vstack([layer.directions for layer in live])[stacked], stacked
+        return np.vstack([layer.directions for layer in self.layers])[stacked], stacked
 
     def new_layer(self) -> ReferenceLayer:
         """Construct the next, denser layer without attaching it.
@@ -190,7 +186,7 @@ class ReferenceArchive:
                     "coords": layer.coords.tolist(),
                     "enabled": layer.enabled.tolist(),
                 }
-                for layer in self.live_layers()
+                for layer in self.layers
             ],
         }
 

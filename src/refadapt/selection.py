@@ -23,14 +23,12 @@ class SelectionResult:
     ``selected`` lists the chosen pool rows in pick order, ``active`` the
     sorted indices of reference vectors that attracted at least one
     frontier individual, and ``centers`` the best frontier of each active
-    vector (aligned with ``active``). ``pool_exhausted`` flags a pool
-    smaller than the requested population.
+    vector (aligned with ``active``).
     """
 
     selected: np.ndarray
     active: np.ndarray
     centers: np.ndarray
-    pool_exhausted: bool = False
 
 
 def cascade_cluster(objs, directions, n_select: int, ideal) -> SelectionResult:
@@ -87,10 +85,8 @@ def cascade_cluster(objs, directions, n_select: int, ideal) -> SelectionResult:
     rank = np.arange(len(rows)) - (np.cumsum(sizes) - sizes)[queue]
 
     # visit r of the round-robin takes entry r of every queue in cluster order
-    want = min(n_select, len(objs))
     return SelectionResult(
-        selected=rows[np.lexsort((queue, rank))[:want]].astype(np.int64),
+        selected=rows[np.lexsort((queue, rank))[:n_select]].astype(np.int64),
         active=active.astype(np.int64),
         centers=centers.astype(np.int64),
-        pool_exhausted=want < n_select,
     )

@@ -72,7 +72,11 @@ class Scenario:
 
     @cached_property
     def _points(self) -> np.ndarray:
+        if not all(map(math.isfinite, [self.density, *(seg.length for seg in self.segments)])):
+            raise ValueError(f"scenario {self.name!r} has a non-finite density or segment length")
         pts = np.vstack([seg.sample(self.density) for seg in self.segments])
+        if not np.isfinite(pts).all():
+            raise ValueError(f"scenario {self.name!r} has non-finite points")
         if np.any(pts <= 0.0):
             raise ValueError(f"scenario {self.name!r} has nonpositive points")
         pts.flags.writeable = False
@@ -255,7 +259,7 @@ def run_scenario(
     runs one adaptation attempt. A "none" event leaves the archive
     unchanged, so a retry would repeat it and the loop stops; the run has
     converged only if the count then sits in the tolerance band, not when
-    a guard (density cap, lattice or association size) refused a shrink.
+    a guard (density cap or association size) refused a shrink.
     Hitting the iteration cap is reported as non-converged.
     """
     points = scenario.points()
@@ -281,7 +285,7 @@ def run_scenario(
         n_participating=len(directions),
         inaccuracy=abs(n_active - params.n) / params.n,
         enabled_layers={
-            layer.h: layer.enabled.tolist() for layer in archive.live_layers()
+            layer.h: layer.enabled.tolist() for layer in archive.layers
         },
         events=events,
     )
@@ -295,7 +299,7 @@ def enabled_point_keys(archive: ReferenceArchive) -> frozenset:
     density expressed it.
     """
     keys = set()
-    for layer in archive.live_layers():
+    for layer in archive.layers:
         enabled = layer.coords[layer.enabled]
         rows = np.column_stack([enabled, np.full(len(enabled), layer.h)])
         rows //= np.gcd.reduce(rows, axis=1)[:, None]

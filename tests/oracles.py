@@ -352,7 +352,7 @@ def participating_oracle(archive):
     Returns (directions, layer_index, row_index) in stack order.
     """
     dirs, lis, rows = [], [], []
-    for li, layer in enumerate(archive.live_layers()):
+    for li, layer in enumerate(archive.layers):
         sel = np.flatnonzero(layer.enabled)
         if len(sel):
             dirs.append(layer.directions[sel])
@@ -378,7 +378,6 @@ def check_archive(archive):
     starts = np.cumsum([0] + [len(layer) for layer in layers])
     assert np.array_equal(stacked, starts[layer_idx] + row_idx)
     assert np.all(np.diff(stacked) > 0)
-    assert 1 <= archive.live_count <= len(layers)
     for below, layer in enumerate(layers):
         assert len(layer.enabled) == len(layer)
         if below == 0:
@@ -416,7 +415,7 @@ def brute_force_density_active(points, n, theta, m=2, cap_factor=64):
 def enabled_point_keys_oracle(archive):
     """Enabled points of the live layers reduced one row at a time by math.gcd."""
     keys = set()
-    for layer in archive.live_layers():
+    for layer in archive.layers:
         for row in layer.coords[layer.enabled].tolist():
             g = math.gcd(layer.h, *row)
             keys.add(tuple(c // g for c in row) + (layer.h // g,))

@@ -69,7 +69,6 @@ def test_criterion_01_lattice_exactness():
         layer = arch.new_layer()
         ok &= len(layer) == lattice_size(m, 4) - lattice_size(m, 2)
         arch.layers.append(layer)
-        arch.live_count = 2
         top = arch.new_layer()
         ok &= len(top) == lattice_size(m, 8) - lattice_size(m, 4)
     elapsed = time.perf_counter() - t0

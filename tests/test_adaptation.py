@@ -1,10 +1,14 @@
+import bisect
+
 import numpy as np
 import pytest
 
 import refadapt.adaptation as adaptation_mod
 from refadapt.adaptation import AdaptationParams
 from refadapt.core import associate
-from refadapt.reference import ReferenceArchive
+from refadapt.reference import (
+    MAX_ASSOCIATION_PAIRS, MAX_LATTICE_POINTS, ReferenceArchive, lattice_size,
+)
 from refadapt.simulate import active_set, partial_arc_scenario
 
 from oracles import check_archive
@@ -52,7 +56,7 @@ class TestShrink:
         params = AdaptationParams(n=5, theta=0.2)
         dirs, event = adapt(arch, [0, 1, 2], params)
         assert event.kind == "shrink"
-        assert arch.live_count == 2
+        assert len(arch.layers) == 2
         new = arch.layers[1]
         assert new.h == 8
         assert new.enabled.tolist() == [True, True, False, False]
@@ -71,7 +75,7 @@ class TestShrink:
             _, event = adapt(arch, active, params)
             if event.kind != "shrink":
                 continue
-            new = arch.layers[arch.live_count - 1]
+            new = arch.layers[-1]
             # the base layer is fully enabled, so a participating index is
             # also the stacked index that ``assoc`` points at; a vector is
             # enabled exactly when it points at an active one
@@ -88,7 +92,7 @@ class TestShrink:
         assert arch.layers[1].enabled.tolist() == [False, False, True, True]
         assert stacked[5:7].tolist() == [7, 8]
         _, event = adapt(arch, [0, 3, 5, 6], AdaptationParams(n=10, theta=0.2))
-        assert event.kind == "shrink" and arch.live_count == 3
+        assert event.kind == "shrink" and len(arch.layers) == 3
         base, second, third = arch.layers
         nearest = associate(third.directions, np.vstack([base.directions, second.directions]))
         expected = np.isin(nearest, [0, 3, 7, 8])
@@ -98,9 +102,9 @@ class TestShrink:
     def test_never_disables_live_vectors(self):
         arch = base_archive(n=5)
         params = AdaptationParams(n=5, theta=0.2)
-        before = [layer.enabled.copy() for layer in arch.live_layers()]
+        before = [layer.enabled.copy() for layer in arch.layers]
         adapt(arch, [0], params)
-        for old, layer in zip(before, arch.live_layers()):
+        for old, layer in zip(before, arch.layers):
             assert np.all(layer.enabled[: len(old)] >= old)
 
     def test_density_cap_turns_shrink_into_noop(self, monkeypatch):
@@ -109,17 +113,7 @@ class TestShrink:
         params = AdaptationParams(n=5, theta=0.2)
         _, event = adapt(arch, [0], params)
         assert event.kind == "none"
-        assert arch.live_count == 1
-
-    def test_oversized_lattice_turns_shrink_into_noop(self, monkeypatch):
-        # many objectives: the doubled lattice may explode combinatorially
-        # long before the density cap; the guard must skip, not crash
-        monkeypatch.setattr(adaptation_mod, "MAX_LATTICE_POINTS", 100)
-        arch = ReferenceArchive.initialize(5, 70)   # H=5, next lattice 210 > 100
-        params = AdaptationParams(n=70, theta=0.2)
-        _, event = adapt(arch, [0, 1, 2], params)
-        assert event.kind == "none"
-        assert arch.live_count == 1
+        assert len(arch.layers) == 1
 
     def test_oversized_association_turns_shrink_into_noop(self, caplog):
         # M=5 from H=5: new layers at H=10 (875 x 126 pairs) and H=20
@@ -132,20 +126,23 @@ class TestShrink:
         with caplog.at_level("WARNING", logger="refadapt.adaptation"):
             _, event = adapt(arch, [0], params)
         assert event.kind == "none"
-        assert arch.live_count == 3 and len(arch.layers) == 3
+        assert len(arch.layers) == 3
         assert "would associate 125125 x 10626 vectors" in caplog.text
 
-    def test_revival_is_never_skipped_for_association_size(self, monkeypatch):
-        arch = base_archive(n=5)
-        params = AdaptationParams(n=5, theta=0.2)
-        adapt(arch, [0, 1, 2], params)                       # builds H=8
-        _, event = adapt(arch, list(range(7)), AdaptationParams(n=3, theta=0.2))
-        assert event.kind == "expand" and arch.live_count == 1
-        monkeypatch.setattr(adaptation_mod, "MAX_ASSOCIATION_PAIRS", 0)
-        _, event = adapt(arch, [0], params)                   # revives H=8
-        assert event.kind == "shrink" and arch.live_count == 2
-        _, event = adapt(arch, [0], params)                   # would build H=16
-        assert event.kind == "none" and len(arch.layers) == 2
+    def test_association_guard_skips_before_lattice_limit(self):
+        # at the smallest top density H whose doubled lattice passes
+        # MAX_LATTICE_POINTS the shrink already needs more association
+        # pairs than MAX_ASSOCIATION_PAIRS; both sizes grow with H, so a
+        # shrink is skipped before ``simplex_lattice`` could refuse it
+        for m in range(2, 41):
+            hi = 1
+            while lattice_size(m, 2 * hi) <= MAX_LATTICE_POINTS:
+                hi *= 2
+            h = bisect.bisect_right(range(hi + 1), MAX_LATTICE_POINTS, lo=hi // 2,
+                                    key=lambda k: lattice_size(m, 2 * k))
+            assert lattice_size(m, 2 * h) > MAX_LATTICE_POINTS >= lattice_size(m, 2 * h - 2)
+            stored = lattice_size(m, h)
+            assert (lattice_size(m, 2 * h) - stored) * stored > MAX_ASSOCIATION_PAIRS, m
 
 
 class Testband:
@@ -163,7 +160,7 @@ class Testband:
         params = AdaptationParams(n=3, theta=0.1)
         _, event = adapt(arch, [0, 1, 2, 3, 4], params)
         assert event.kind == "none"
-        assert arch.live_count == 1
+        assert len(arch.layers) == 1
 
     def test_repeated_active_indices_count_once(self):
         # one distinct active vector is below the band [4, 6] and shrinks,
@@ -190,28 +187,30 @@ class TestExpand:
         k = len(arch.participating()[1])
         _, event = adapt(arch, list(range(k)), params)  # 7 > 2.4 forces expand
         assert event.kind == "expand"
-        assert arch.live_count == 1
+        assert len(arch.layers) == 1
         assert arch.layers[0].enabled.all()  # base stays fully enabled
-        # the retired layer is retained for later revival
-        assert len(arch.layers) == 2
 
     def test_expand_never_enables_top_layer(self):
         arch = self._shrunk_archive()
         params = AdaptationParams(n=2, theta=0.2)
-        top_before = arch.layers[1].enabled.copy()
+        top = arch.layers[1]
+        top_before = top.enabled.copy()
         adapt(arch, list(range(len(arch.participating()[1]))), params)
-        assert np.array_equal(arch.layers[1].enabled, top_before)
+        assert np.array_equal(top.enabled, top_before)
 
-    def test_reshrink_revives_stored_layer(self):
+    def test_shrink_after_expand_rebuilds_layer_from_memo(self):
         arch = self._shrunk_archive()
         expand_params = AdaptationParams(n=2, theta=0.2)
-        adapt(arch, list(range(len(arch.participating()[1]))), expand_params)
         retired = arch.layers[1]
+        adapt(arch, list(range(len(arch.participating()[1]))), expand_params)
         shrink_params = AdaptationParams(n=5, theta=0.2)
         _, event = adapt(arch, [3, 4], shrink_params)
         assert event.kind == "shrink"
-        assert arch.live_count == 2
-        assert arch.layers[1] is retired          # reused, not rebuilt
+        assert len(arch.layers) == 2
+        # a new layer object over the retired layer's memoised arrays
+        assert arch.layers[1] is not retired
+        assert arch.layers[1].coords is retired.coords
+        assert arch.layers[1].assoc is retired.assoc
         # flags recomputed for the new active set: (5,3)/8 -> (3,1)/4 and
         # (7,1)/8 -> (4,0)/4 are the vectors associated with rows 3, 4
         assert arch.layers[1].enabled.tolist() == [False, False, True, True]
@@ -245,4 +244,4 @@ def test_participating_never_empty_and_never_from_retired_layers():
         dirs, _ = adapt(arch, active, params)
         assert len(dirs) >= 1
         stacked = arch.participating()[1]
-        assert stacked.max() < sum(len(layer) for layer in arch.live_layers())
+        assert stacked.max() < sum(len(layer) for layer in arch.layers)

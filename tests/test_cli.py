@@ -101,6 +101,18 @@ class TestExitCodes:
         assert main(["run", "--config", str(cfg_file)]) == 1
 
 
+    @pytest.mark.parametrize("arc, density", [
+        ({"center": [float("nan"), 0.0], "radius": 1.0, "a0": 0.2, "a1": 1.2}, 400.0),
+        ({"center": [0.0, 0.0], "radius": 1.0, "a0": 0.2, "a1": 1.2}, float("inf")),
+        ({"center": [0.0, 0.0], "radius": float("inf"), "a0": 0.2, "a1": 1.2}, 400.0),
+    ], ids=["nan_center", "inf_density", "inf_radius"])
+    def test_non_finite_scenario_is_config_error(self, tmp_path, arc, density):
+        path = tmp_path / "scenarios.json"
+        path.write_text(json.dumps({"name": "bad", "density": density,
+                                    "segments": [{"arc": arc}]}))
+        assert main(["simulate", "--scenarios", str(path), "--n", "24"]) == 1
+
+
 def _config_from(argv):
     return _build_config(build_parser().parse_args(["run", *argv]))
 

@@ -105,7 +105,6 @@ class TestNewLayer:
     def test_third_layer_m2(self):
         arch = ReferenceArchive(2, [_layer(2, 4)])
         arch.layers.append(arch.new_layer())
-        arch.live_count = 2
         top = arch.new_layer()
         assert top.h == 16 and len(top) == 17 - 9
         # derived by enumerating both lattices: the 8 missing points are
@@ -185,7 +184,6 @@ class TestNesting:
         arch = ReferenceArchive(3, [_layer(3, 3)])
         for _ in range(2):
             arch.layers.append(arch.new_layer())
-            arch.live_count += 1
         top_h = arch.top_h
         union = set()
         for layer in arch.layers:

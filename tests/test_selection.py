@@ -41,7 +41,6 @@ class TestCascadeCluster:
         assert res.selected.tolist() == [0, 1]
         assert res.active.tolist() == [0, 1]
         assert res.centers.tolist() == [0, 1]
-        assert not res.pool_exhausted
 
     def test_singleton_pool(self):
         res = cascade_cluster([[2.0, 3.0]], [[0.5, 0.5], [1.0, 0.0]], 1, [0.0, 0.0])
@@ -59,11 +58,10 @@ class TestCascadeCluster:
         with pytest.raises(ValueError, match="non-finite"):
             cascade_cluster(pool, [[0.5, 0.5]], 2, [0.0, 0.0])
 
-    def test_small_pool_returned_whole_and_flagged(self):
+    def test_small_pool_returned_whole(self):
         pool = np.array([[1, 2], [2, 1]], float)
         res = cascade_cluster(pool, [[0.5, 0.5]], 5, [0, 0])
         assert sorted(res.selected.tolist()) == [0, 1]
-        assert res.pool_exhausted
 
     def test_pool_member_at_the_ideal_point(self):
         # a member whose translated objectives are all zero has angle 0 to

@@ -315,7 +315,6 @@ class TestActiveSet:
         lattice = simplex_lattice(2, h) / float(h)
         archive = ReferenceArchive.initialize(2, h + 1)
         archive.layers.append(archive.new_layer())
-        archive.live_count = 2
         # the reversed view and its contiguous copy hold the same values,
         # yet a single diagonal row may pick differently against each
         variants = (lattice, lattice[::-1], np.ascontiguousarray(lattice[::-1]),
@@ -421,16 +420,17 @@ class TestSimilarity:
 
 class TestEnabledKeys:
     def test_equal_to_gcd_loop_on_random_layer_stacks(self):
-        # random enabled masks over up to four live layers at M=2..4;
+        # random enabled masks over up to four layers at M=2..4;
         # a point shared by two densities must map to one key
         rng = np.random.default_rng(3)
         for m, n in ((2, 10), (2, 24), (3, 15), (4, 10)):
             archive = ReferenceArchive.initialize(m, n)
             for _ in range(3):
                 archive.layers.append(archive.new_layer())
+            layers = archive.layers
             for trial in range(6):
-                archive.live_count = int(rng.integers(1, len(archive.layers) + 1))
-                for layer in archive.layers:
+                archive.layers = layers[: int(rng.integers(1, len(layers) + 1))]
+                for layer in layers:
                     layer.enabled = rng.random(len(layer)) < trial / 5.0
                 keys = enabled_point_keys(archive)
                 assert isinstance(keys, frozenset)
