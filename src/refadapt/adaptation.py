@@ -70,10 +70,11 @@ def adapt(
     mutated in place; the return value is the resulting participating
     direction matrix together with an event record. When the active count
     already sits inside the tolerance band, or a guard forbids the
-    requested subroutine, nothing changes and the event kind is "none".
+    requested subroutine, nothing changes, the event kind is "none" and
+    the participating directions read at entry are returned.
     """
     active = np.asarray(active, dtype=np.int64)
-    stacked = archive.participating()[1]
+    directions, stacked = archive.participating()
     if len(active) and (active.min() < 0 or active.max() >= len(stacked)):
         raise ValueError("active indices outside the participating set")
     # activity over the stacked live layers, the index space of a new
@@ -124,7 +125,8 @@ def adapt(
             kind = "expand"
             active_after = int(is_active[:bottom].sum())
 
-    directions = archive.participating()[0]
+    if kind != "none":
+        directions = archive.participating()[0]
     event = AdaptationEvent(
         kind=kind,
         generation=generation,

@@ -93,7 +93,9 @@ class ReferenceLayer:
     it is empty for the base layer. Layers are only pushed onto and popped
     off the top of the archive, so this index space is the stacked layers
     below the layer for as long as it is in the archive. ``enabled`` marks
-    the vectors that participate in selection.
+    the vectors that participate in selection. ``directions`` is
+    ``coords / h``, computed on first access and kept read-only, so
+    ``coords`` must not be changed after it is read.
     """
 
     h: int
@@ -104,9 +106,9 @@ class ReferenceLayer:
     def __len__(self) -> int:
         return len(self.coords)
 
-    @property
+    @functools.cached_property
     def directions(self) -> np.ndarray:
-        return self.coords / float(self.h)
+        return _read_only(self.coords / float(self.h))
 
 
 class ReferenceArchive:
@@ -148,12 +150,14 @@ class ReferenceArchive:
         live layers' vectors stacked in layer order, enabled or not, which
         is the index space of a new layer's ``assoc``. Rows keep stack
         order, so participating indices are stable between calls that do
-        not mutate the archive.
+        not mutate the archive. ``directions`` gathers each layer's
+        enabled rows of its cached ``directions``; only the enabled rows
+        are copied.
         """
         stacked = np.flatnonzero(np.concatenate([layer.enabled for layer in self.layers]))
         if not len(stacked):
             raise ValueError("participating reference-vector set is empty")
-        return np.vstack([layer.directions for layer in self.layers])[stacked], stacked
+        return np.concatenate([layer.directions[layer.enabled] for layer in self.layers]), stacked
 
     def new_layer(self) -> ReferenceLayer:
         """Construct the next, denser layer without attaching it.

@@ -20,7 +20,12 @@ import numpy as np
 
 from .adaptation import AdaptationEvent, AdaptationParams, adapt
 from .core import associate
-from .reference import ReferenceArchive
+from .reference import MAX_LATTICE_POINTS, ReferenceArchive
+
+
+def _sample_count(span: float) -> int:
+    """Points sampled on a segment whose length times density is ``span``."""
+    return max(2, int(round(span)) + 1)
 
 
 @dataclass(frozen=True)
@@ -33,7 +38,7 @@ class LineSegment:
         return math.dist(self.start, self.end)
 
     def sample(self, density: float) -> np.ndarray:
-        k = max(2, int(round(self.length * density)) + 1)
+        k = _sample_count(self.length * density)
         t = np.linspace(0.0, 1.0, k)[:, None]
         a = np.asarray(self.start, dtype=float)
         b = np.asarray(self.end, dtype=float)
@@ -52,7 +57,7 @@ class ArcSegment:
         return self.radius * abs(self.a1 - self.a0)
 
     def sample(self, density: float) -> np.ndarray:
-        k = max(2, int(round(self.length * density)) + 1)
+        k = _sample_count(self.length * density)
         ang = np.linspace(self.a0, self.a1, k)
         cx, cy = self.center
         return np.column_stack([cx + self.radius * np.cos(ang), cy + self.radius * np.sin(ang)])
@@ -72,8 +77,13 @@ class Scenario:
 
     @cached_property
     def _points(self) -> np.ndarray:
-        if not all(map(math.isfinite, [self.density, *(seg.length for seg in self.segments)])):
+        spans = [seg.length * self.density for seg in self.segments]
+        if not all(map(math.isfinite, [self.density, *spans])):
             raise ValueError(f"scenario {self.name!r} has a non-finite density or segment length")
+        total = sum(map(_sample_count, spans))
+        if total > MAX_LATTICE_POINTS:
+            raise ValueError(f"scenario {self.name!r} samples {total} points, "
+                             f"above the {MAX_LATTICE_POINTS} limit")
         pts = np.vstack([seg.sample(self.density) for seg in self.segments])
         if not np.isfinite(pts).all():
             raise ValueError(f"scenario {self.name!r} has non-finite points")
@@ -291,36 +301,36 @@ def run_scenario(
     )
 
 
-def enabled_point_keys(archive: ReferenceArchive) -> frozenset:
-    """Enabled lattice points of the live layers as exact rational keys.
+def enabled_point_keys(archive: ReferenceArchive) -> np.ndarray:
+    """Sorted int64 stacked indices of the enabled vectors of the live layers.
 
-    Coordinates are reduced by their gcd with the density, so the same
-    direction always maps to the same key regardless of which layer
-    density expressed it.
+    Keys compare enabled sets only among archives that grew from one base
+    lattice, as every archive of a permutation study does (the same M and
+    population size). Each layer at the next density is then built from
+    the same stored directions, so a layer's vectors and their stacked
+    offset are the same in every such archive. Every layer above the base
+    holds only points with an odd coordinate, so a direction lives in
+    exactly one layer: a stacked index names one direction, and sets of
+    indices intersect and unite exactly as the directions' rational keys
+    (coordinates over the density, reduced by their gcd) would.
     """
-    keys = set()
-    for layer in archive.layers:
-        enabled = layer.coords[layer.enabled]
-        rows = np.column_stack([enabled, np.full(len(enabled), layer.h)])
-        rows //= np.gcd.reduce(rows, axis=1)[:, None]
-        keys.update(map(tuple, rows.tolist()))
-    return frozenset(keys)
+    return np.flatnonzero(np.concatenate([layer.enabled for layer in archive.layers]))
 
 
 def similarity_matrix(sets) -> np.ndarray:
     """Percentage of identically enabled points of every ordered pair of key sets.
 
-    Entry (a, b) is ``100.0 * |A & B| / |A | B|``, or 100.0 when both sets
-    are empty. Each key is numbered once, and the intersection sizes are
+    ``sets`` holds 1-D integer arrays of distinct keys. Entry (a, b) is
+    ``100.0 * |A & B| / |A | B|``, or 100.0 when both sets are empty. The
+    keys are numbered by one ``np.unique``, and the intersection sizes are
     the product of a 0/1 (sets x keys) membership matrix with its
     transpose; the counts are exact, so every entry has the bits of the
     same formula evaluated on Python integers.
     """
-    number: dict = {}
-    member = [[number.setdefault(key, len(number)) for key in s] for s in sets]
-    B = np.zeros((len(sets), len(number)))
-    for row, cols in enumerate(member):
-        B[row, cols] = 1.0
+    keys, column = np.unique(np.concatenate([np.empty(0, dtype=np.int64), *sets]),
+                             return_inverse=True)
+    B = np.zeros((len(sets), len(keys)))
+    B[np.repeat(np.arange(len(sets)), [len(s) for s in sets]), column] = 1.0
     inter = B @ B.T
     sizes = B.sum(axis=1)
     union = sizes[:, None] + sizes[None, :] - inter
@@ -381,7 +391,7 @@ def permutation_similarity(
     scenarios = list(scenarios)
     k = len(scenarios)
     perms = list(itertools.permutations(range(k)))
-    snapshots: dict[int, list[frozenset]] = {i: [] for i in range(k)}
+    snapshots: dict[int, list[np.ndarray]] = {i: [] for i in range(k)}
     non_converged = 0
     for perm in perms:
         archive = ReferenceArchive.initialize(2, params.n)

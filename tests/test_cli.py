@@ -105,7 +105,8 @@ class TestExitCodes:
         ({"center": [float("nan"), 0.0], "radius": 1.0, "a0": 0.2, "a1": 1.2}, 400.0),
         ({"center": [0.0, 0.0], "radius": 1.0, "a0": 0.2, "a1": 1.2}, float("inf")),
         ({"center": [0.0, 0.0], "radius": float("inf"), "a0": 0.2, "a1": 1.2}, 400.0),
-    ], ids=["nan_center", "inf_density", "inf_radius"])
+        ({"center": [0.0, 0.0], "radius": 1.0, "a0": 0.2, "a1": 1.2}, 1e12),
+    ], ids=["nan_center", "inf_density", "inf_radius", "huge_density"])
     def test_non_finite_scenario_is_config_error(self, tmp_path, arc, density):
         path = tmp_path / "scenarios.json"
         path.write_text(json.dumps({"name": "bad", "density": density,

@@ -162,6 +162,17 @@ class TestLayerMemo:
         assert layer.h == 8
         assert np.array_equal(layer.assoc, associate_oracle(layer.directions, base.directions))
 
+    def test_directions_computed_once_read_only(self):
+        arch = ReferenceArchive.initialize(3, 10)
+        arch.layers.append(arch.new_layer())
+        for layer in arch.layers:
+            directions = layer.directions
+            assert layer.directions is directions
+            assert directions.tobytes() == (layer.coords / float(layer.h)).tobytes()
+            assert directions.shape == layer.coords.shape
+            with pytest.raises(ValueError):
+                directions[0, 0] = 0.0
+
     def test_memo_holds_at_most_its_bound(self):
         reference_mod._base_lattice.cache_clear()
         reference_mod._new_layer.cache_clear()

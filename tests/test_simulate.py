@@ -1,3 +1,4 @@
+import copy
 import json
 
 import numpy as np
@@ -119,6 +120,15 @@ class TestScenarioGeometry:
         with pytest.raises(ValueError):
             pts[0, 0] = 1.0
 
+    def test_oversized_scenario_rejected_before_sampling(self, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled an oversized scenario")
+
+        monkeypatch.setattr(np, "linspace", no_sampling)
+        sc = arc_scenario("huge", [(20.0, 68.0)], density=1e12)
+        with pytest.raises(ValueError, match="scenario 'huge' samples"):
+            sc.points()
+
     def test_segments_mutually_nondominated(self):
         for sc in default_scenarios() + [quarter_circle_scenario(), partial_arc_scenario()]:
             front, rest = nondominated_split(sc.points())
@@ -191,7 +201,7 @@ class TestRunScenario:
         report = run_scenario(sc, archive, PARAMS)
         assert report.iterations == 1
         assert report.events[0].kind == "none"
-        assert enabled_point_keys(archive) == keys_before
+        assert np.array_equal(enabled_point_keys(archive), keys_before)
 
     def test_iteration_cap_flags_non_convergence(self):
         # a coverage fraction sitting exactly between the reachable
@@ -399,72 +409,97 @@ class TestLayerReuse:
         assert a.layers[1].assoc is b.layers[1].assoc
         keys = enabled_point_keys(b)
         run_scenario(quarter_circle_scenario(), a, PARAMS)
-        assert enabled_point_keys(b) == keys
+        assert np.array_equal(enabled_point_keys(b), keys)
+
+
+def keys(*values):
+    return np.array(values, dtype=np.int64)
 
 
 class TestSimilarity:
     def test_identical_sets(self):
-        a = frozenset({(1, 2, 3)})
+        a = keys(1, 2, 3)
         assert np.all(similarity_matrix([a, a]) == 100.0)
-        assert np.all(similarity_matrix([frozenset(), frozenset()]) == 100.0)
+        assert np.all(similarity_matrix([keys(), keys()]) == 100.0)
 
     def test_disjoint_sets(self):
-        mat = similarity_matrix([frozenset({(1,)}), frozenset({(2,)})])
+        mat = similarity_matrix([keys(1), keys(2)])
         assert mat.tolist() == [[100.0, 0.0], [0.0, 100.0]]
 
     def test_partial_overlap(self):
-        a = frozenset({(1,), (2,), (3,)})
-        b = frozenset({(2,), (3,), (4,)})
-        assert similarity_matrix([a, b])[0, 1] == pytest.approx(50.0)
+        assert similarity_matrix([keys(1, 2, 3), keys(2, 3, 4)])[0, 1] == pytest.approx(50.0)
+
+
+def assert_same_similarity(archives):
+    """Stacked-index snapshots compare exactly as the rational keys do."""
+    stacked, rational = [], []
+    for archive in archives:
+        snapshot = enabled_point_keys(archive)
+        assert snapshot.dtype == np.int64 and np.all(np.diff(snapshot) > 0)
+        stacked.append(snapshot)
+        rational.append(enabled_point_keys_oracle(archive))
+        assert len(stacked[-1]) == len(rational[-1])
+    mat = similarity_matrix(stacked)
+    assert np.array_equal(mat, similarity_matrix_oracle(rational))
+    return mat
 
 
 class TestEnabledKeys:
     def test_equal_to_gcd_loop_on_random_layer_stacks(self):
-        # random enabled masks over up to four layers at M=2..4;
-        # a point shared by two densities must map to one key
+        # archives from one base at M=2..4, grown to four layers, truncated
+        # at random and masked at random
         rng = np.random.default_rng(3)
         for m, n in ((2, 10), (2, 24), (3, 15), (4, 10)):
-            archive = ReferenceArchive.initialize(m, n)
-            for _ in range(3):
-                archive.layers.append(archive.new_layer())
-            layers = archive.layers
-            for trial in range(6):
-                archive.layers = layers[: int(rng.integers(1, len(layers) + 1))]
-                for layer in layers:
-                    layer.enabled = rng.random(len(layer)) < trial / 5.0
-                keys = enabled_point_keys(archive)
-                assert isinstance(keys, frozenset)
-                assert keys == enabled_point_keys_oracle(archive)
+            archives = []
+            for trial in range(12):
+                archive = ReferenceArchive.initialize(m, n)
+                for _ in range(3):
+                    archive.layers.append(archive.new_layer())
+                del archive.layers[int(rng.integers(1, 5)):]
+                share = trial / 11.0 if trial % 3 else rng.random()
+                for layer in archive.layers:
+                    layer.enabled = rng.random(len(layer)) < share
+                archives.append(archive)
+            mat = assert_same_similarity(archives)
+            assert ((0.0 < mat) & (mat < 100.0)).any()
 
     def test_equal_to_gcd_loop_after_adaptation(self):
+        # every default scenario on a fresh archive and in turn on one
+        # archive, which also expands
         for n in (24, 96):
-            archive = ReferenceArchive.initialize(2, n)
-            for sc in default_scenarios():
-                run_scenario(sc, archive, AdaptationParams(n=n, theta=0.2))
-                assert enabled_point_keys(archive) == enabled_point_keys_oracle(archive)
+            params = AdaptationParams(n=n, theta=0.2)
+            carried = ReferenceArchive.initialize(2, n)
+            archives = []
+            for sc in default_scenarios() + [partial_arc_scenario(), quarter_circle_scenario()]:
+                archive = ReferenceArchive.initialize(2, n)
+                run_scenario(sc, archive, params)
+                run_scenario(sc, carried, params)
+                archives += [archive, copy.deepcopy(carried)]
+            assert_same_similarity(archives)
 
 
 class TestSimilarityMatrix:
     def test_equal_to_pairwise_loop_on_random_sets(self):
         rng = np.random.default_rng(8)
-        universe = [(int(a), int(b), 7) for a, b in rng.integers(0, 9, (40, 2))]
+        universe = np.unique(rng.integers(0, 200, 40))
         for _ in range(20):
             sets = []
             for _ in range(int(rng.integers(0, 9))):
                 share = rng.uniform(0.0, 0.6)
-                sets.append(frozenset(k for k in universe if rng.random() < share))
-            sets += [frozenset()] * int(rng.integers(0, 2))
+                sets.append(universe[rng.random(len(universe)) < share])
+            sets += [keys()] * int(rng.integers(0, 2))
             got = similarity_matrix(sets)
-            want = similarity_matrix_oracle(sets)
+            want = similarity_matrix_oracle([frozenset(s.tolist()) for s in sets])
             assert got.shape == want.shape
             assert np.array_equal(got, want)
 
     def test_study_matrices_equal_pairwise_loop(self, monkeypatch):
         snapshots = []
+        real = simulate_mod.enabled_point_keys
 
         def recorded(archive):
-            snapshots.append(enabled_point_keys(archive))
-            return snapshots[-1]
+            snapshots.append(enabled_point_keys_oracle(archive))
+            return real(archive)
 
         monkeypatch.setattr(simulate_mod, "enabled_point_keys", recorded)
         scenarios = default_scenarios()[:3]
