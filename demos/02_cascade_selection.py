@@ -7,7 +7,7 @@ attachment, per-cluster ranking, and round-robin picking.
 """
 import numpy as np
 
-from refadapt import angle_matrix, cascade_cluster, nondominated_split, update_ideal
+from refadapt import cascade_cluster, nearest, nondominated_split, update_ideal
 
 pool = np.array([
     [0.2, 1.8],   # frontier, near the f2 axis
@@ -26,10 +26,11 @@ front, rest = nondominated_split(pool)
 print("frontier:", front.tolist(), " dominated:", rest.tolist())
 
 # pdm: mean of the ideal-translated objectives plus the sine of the angle
-# to the direction; lower is better
+# to the direction (nearest's angle against that direction alone); lower
+# is better
 for i in front:
     t = pool[i] - ideal
-    scores = t.mean() + np.sin(angle_matrix(t[None, :], Z)[0])
+    scores = t.mean() + np.sin([nearest(t, z)[1][0] for z in Z])
     print(f"candidate {i} {pool[i]}: pdm per direction = "
           + ", ".join(f"{s:.3f}" for s in scores))
 

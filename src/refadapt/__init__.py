@@ -7,14 +7,8 @@ that set to follow the directional footprint of the tracked Pareto front.
 """
 
 from .adaptation import AdaptationEvent, AdaptationParams, adapt
-from .archive import IndividualArchive, maintain
-from .core import (
-    angle_matrix,
-    associate,
-    nearest,
-    nondominated_split,
-    update_ideal,
-)
+from .archive import maintain
+from .core import associate, nearest, nondominated_split, update_ideal
 from .metrics import Trajectory, confidence_trajectory, igd, stability
 from .problems import ProblemSpec, available_problems, make_problem
 from .reference import (
@@ -38,7 +32,6 @@ from .simulate import (
     permutation_similarity,
     quarter_circle_scenario,
     run_scenario,
-    save_scenarios,
 )
 from .variation import VariationParams, make_offspring, poly_mutate, sbx
 
@@ -50,7 +43,6 @@ __all__ = [
     "ArcSegment",
     "ConfigError",
     "ExperimentResult",
-    "IndividualArchive",
     "LineSegment",
     "PermutationReport",
     "ProblemSpec",
@@ -64,7 +56,6 @@ __all__ = [
     "Trajectory",
     "VariationParams",
     "adapt",
-    "angle_matrix",
     "associate",
     "available_problems",
     "cascade_cluster",
@@ -86,7 +77,6 @@ __all__ = [
     "quarter_circle_scenario",
     "run",
     "run_scenario",
-    "save_scenarios",
     "sbx",
     "simplex_lattice",
     "stability",

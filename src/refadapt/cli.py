@@ -127,8 +127,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_simulate(args) -> int:
     scenarios = load_scenarios(args.scenarios)
-    params = (AdaptationParams(args.n) if args.theta is None
-              else AdaptationParams(args.n, args.theta))
+    params = AdaptationParams(args.n, args.theta)
     report: dict = {"n": args.n, "theta": params.theta, "scenarios": []}
     for scenario in scenarios:
         archive = ReferenceArchive.initialize(2, args.n)
@@ -181,7 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="drive the adaptation engine on scenario files")
     p_sim.add_argument("--scenarios", required=True, help="scenario JSON file")
     p_sim.add_argument("--n", type=int, required=True, help="target active count")
-    p_sim.add_argument("--theta", type=float)
+    p_sim.add_argument("--theta", type=float, default=AdaptationParams.theta,
+                       help=_RUN_OPTIONS["theta"][1])
     p_sim.add_argument("--permutations", action="store_true",
                        help="run the order-insensitivity study over all scenario orders")
     p_sim.add_argument("--carry-over", dest="carry_over", action="store_true",

@@ -32,39 +32,6 @@ def nondominated_split(objs) -> tuple[np.ndarray, np.ndarray]:
     return idx[~dominated], idx[dominated]
 
 
-def _cosines(P, Q) -> tuple[np.ndarray, np.ndarray]:
-    """Cosines between point rows and target rows, and the nonzero-point mask.
-
-    Rows of zero-norm points are left as raw dot products; callers
-    overwrite them. Zero-norm targets are rejected.
-    """
-    pn = np.linalg.norm(P, axis=1)
-    qn = np.linalg.norm(Q, axis=1)
-    if np.any(qn == 0.0):
-        raise ValueError("target directions must have nonzero norm")
-    nz = pn > 0.0
-    cos = P @ Q.T
-    cos /= qn[None, :]
-    cos /= np.where(nz, pn, 1.0)[:, None]
-    return cos, nz
-
-
-def angle_matrix(points, targets) -> np.ndarray:
-    """Pairwise angles in radians between point rows and target rows.
-
-    Rows are compared by direction only, so the result is invariant under
-    positive scaling of any row. A zero-norm point is defined to have
-    angle 0 to every target (it sits at the translation origin and should
-    win every angular comparison). Zero-norm targets are rejected.
-    """
-    P = np.atleast_2d(np.asarray(points, dtype=float))
-    Q = np.atleast_2d(np.asarray(targets, dtype=float))
-    cos, nz = _cosines(P, Q)
-    ang = np.arccos(np.clip(cos, -1.0, 1.0))
-    ang[~nz] = 0.0
-    return ang
-
-
 # Cosines this close to a row's largest cosine are compared by their
 # angles. arccos has slope magnitude at least 1 and errs by about an ulp,
 # so any other cosine gives a strictly larger angle.
@@ -74,18 +41,28 @@ _NEAR_TIE = 1e-12
 def nearest(points, targets) -> tuple[np.ndarray, np.ndarray]:
     """Index of, and angle to, the angularly nearest target of every point row.
 
-    Equals the row-wise ``argmin`` of :func:`angle_matrix` and the angle
-    there, bit for bit, without taking the arccos of the whole matrix: the
-    pick is the largest cosine, and only a row whose largest cosine has
-    rivals within 1e-12 compares those rivals by their arccos. Ties break
-    toward the lowest target index; a zero-norm point gets index 0 and
-    angle 0.
+    The angle between a point and a target is the arccos of their dot
+    product over both norms, clipped to [-1, 1], so only directions count.
+    The result is, bit for bit, the row-wise argmin of the whole matrix of
+    those angles (lowest target index on ties) and the angle there, but
+    without taking the arccos of the whole matrix: the pick is the largest
+    cosine, and only a row whose largest cosine has rivals within 1e-12
+    compares those rivals by their arccos. A zero-norm point sits at the
+    translation origin and gets index 0 and angle 0; zero-norm targets
+    are rejected.
     """
     P = np.atleast_2d(np.asarray(points, dtype=float))
     Q = np.atleast_2d(np.asarray(targets, dtype=float))
     if Q.shape[0] == 0:
         raise ValueError("cannot associate against an empty target set")
-    cos, nz = _cosines(P, Q)
+    pn = np.linalg.norm(P, axis=1)
+    qn = np.linalg.norm(Q, axis=1)
+    if np.any(qn == 0.0):
+        raise ValueError("target directions must have nonzero norm")
+    nz = pn > 0.0
+    cos = P @ Q.T
+    cos /= qn[None, :]
+    cos /= np.where(nz, pn, 1.0)[:, None]
     rows = np.arange(len(P))
     index = np.argmax(cos, axis=1)
     # (row, column) of every cosine near its row's largest, columns ascending
@@ -107,10 +84,10 @@ def nearest(points, targets) -> tuple[np.ndarray, np.ndarray]:
 def associate(points, targets) -> np.ndarray:
     """Index of the angularly nearest target for every point row.
 
-    The row-wise ``argmin`` of :func:`angle_matrix`, computed by
-    :func:`nearest`: the largest cosine wins unless rivals lie within
-    1e-12 of it, which are then compared by angle. Ties break toward the
-    lowest target index, so a repeated call gives the same result. A
+    The index half of :func:`nearest`: the largest cosine wins unless
+    rivals lie within 1e-12 of it, which are then compared by angle. Ties
+    break toward the lowest target index, so a repeated call gives the
+    same result. A
     near-tie is not reproducible across call shapes or platforms: its
     cosines come from one matrix product, whose last bit depends on the
     BLAS kernel and on the shape of the call, so a point between two

@@ -92,9 +92,9 @@ def _lattice_directions(m: int, n: int) -> np.ndarray:
     return _even_subset(dirs, n)
 
 
-def _grid_axes(m: int, n: int, per_dim_min: int = 2) -> np.ndarray:
-    """Per-axis sample count so an (m-1)-dim grid holds at least n points."""
-    return max(per_dim_min, math.ceil(n ** (1.0 / (m - 1))))
+def _grid_axes(m: int, n: int) -> int:
+    """Per-axis sample count (at least 2) so an (m-1)-dim grid holds at least n points."""
+    return max(2, math.ceil(n ** (1.0 / (m - 1))))
 
 
 def _product_grid(axis_values: list[np.ndarray]) -> np.ndarray:
@@ -169,14 +169,10 @@ def _pf_sphere_patch(m, n):
 # ---------------------------------------------------------------------------
 # problem families
 
-def _dtlz_box(m, d):
-    return np.zeros(d), np.ones(d)
-
-
 def _make(name, m, d, fos, evaluate, sampler):
-    lower, upper = _dtlz_box(m, d)
+    """Every problem here lives in the unit box [0, 1]^d."""
     return ProblemSpec(
-        name=name, m=m, d=d, lower=lower, upper=upper,
+        name=name, m=m, d=d, lower=np.zeros(d), upper=np.ones(d),
         fos_kind=fos, _evaluate=evaluate, _pf_sampler=sampler,
     )
 
@@ -202,10 +198,10 @@ def _dtlz3(m, d):
     return _make("dtlz3", m, d, "full", evaluate, _pf_sphere)
 
 
-def _dtlz4(m, d, alpha=100.0):
+def _dtlz4(m, d):
     def evaluate(X):
         g = _g_sphere(X[:, m - 1:])
-        return (1.0 + g)[:, None] * _hypersphere(X[:, : m - 1] ** alpha * np.pi / 2.0)
+        return (1.0 + g)[:, None] * _hypersphere(X[:, : m - 1] ** 100.0 * np.pi / 2.0)
     return _make("dtlz4", m, d, "full", evaluate, _pf_sphere)
 
 

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .adaptation import AdaptationEvent, AdaptationParams, adapt
-from .archive import IndividualArchive, maintain
+from .archive import maintain
 from .core import update_ideal
 from .metrics import Trajectory, confidence_trajectory, igd, stability
 from .problems import ProblemSpec, available_problems, make_problem
@@ -58,14 +58,11 @@ class RunConfig:
     use_ia: bool = True                  # --no-ia disables the individual archive
     adapt_refs: bool = True              # --fixed-z freezes the base reference set
 
-    def resolve_problem(self) -> ProblemSpec:
+    def validate(self) -> ProblemSpec:
         try:
-            return make_problem(self.problem, self.m, self.d)
+            spec = make_problem(self.problem, self.m, self.d)
         except (KeyError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
-
-    def validate(self) -> ProblemSpec:
-        spec = self.resolve_problem()
         if self.n < self.m:
             raise ConfigError("population size must be at least the objective count")
         if self.max_evals < 2 * self.n:
@@ -130,7 +127,7 @@ def run(config: RunConfig, seed: int, pf_samples: np.ndarray | None = None) -> R
 
     ref_archive = ReferenceArchive.initialize(config.m, n)
     directions = ref_archive.participating()[0]
-    ia = IndividualArchive.empty(spec.d, config.m)
+    ia_X, ia_F = np.empty((0, spec.d)), np.empty((0, config.m))
 
     # IGD is sampled at sample_points evaluation counts spread over the
     # budget. Generation g (0 = the initial population) ends at
@@ -161,12 +158,12 @@ def run(config: RunConfig, seed: int, pf_samples: np.ndarray | None = None) -> R
         evals += n_off
         ideal = update_ideal(off_F, ideal)
 
-        pool_X = np.vstack([X, off_X, ia.solutions])
-        pool_F = np.vstack([F, off_F, ia.objectives])
+        pool_X = np.vstack([X, off_X, ia_X])
+        pool_F = np.vstack([F, off_F, ia_F])
         result = cascade_cluster(pool_F, directions, n, ideal)
         X, F = pool_X[result.selected], pool_F[result.selected]
         if config.use_ia:
-            ia = maintain(ia, pool_X[result.centers], pool_F[result.centers])
+            ia_X, ia_F = maintain(pool_X, pool_F, result.centers)
 
         stable = stable + 1 if np.array_equal(result.active, last_active) else 1
         last_active = result.active
@@ -179,8 +176,8 @@ def run(config: RunConfig, seed: int, pf_samples: np.ndarray | None = None) -> R
             scored.append(F)
 
     # final population from the archive and the population together
-    pool_X = np.vstack([ia.solutions, X])
-    pool_F = np.vstack([ia.objectives, F])
+    pool_X = np.vstack([ia_X, X])
+    pool_F = np.vstack([ia_F, F])
     result = cascade_cluster(pool_F, directions, n, ideal)
     X, F = pool_X[result.selected], pool_F[result.selected]
     scored.append(F)
@@ -196,7 +193,7 @@ def run(config: RunConfig, seed: int, pf_samples: np.ndarray | None = None) -> R
         events=events,
         final_solutions=X,
         final_objectives=F,
-        final_ia_objectives=ia.objectives.copy(),
+        final_ia_objectives=ia_F,
         final_igd=float(igd_values[-1]),
     )
 

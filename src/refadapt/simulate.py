@@ -13,14 +13,14 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .adaptation import AdaptationEvent, AdaptationParams, adapt
 from .core import associate
-from .reference import MAX_LATTICE_POINTS, ReferenceArchive
+from .reference import MAX_ASSOCIATION_PAIRS, MAX_LATTICE_POINTS, ReferenceArchive
 
 
 def _sample_count(span: float) -> int:
@@ -80,6 +80,8 @@ class Scenario:
         spans = [seg.length * self.density for seg in self.segments]
         if not all(map(math.isfinite, [self.density, *spans])):
             raise ValueError(f"scenario {self.name!r} has a non-finite density or segment length")
+        if self.density <= 0.0:
+            raise ValueError(f"scenario {self.name!r} needs a positive density, got {self.density}")
         total = sum(map(_sample_count, spans))
         if total > MAX_LATTICE_POINTS:
             raise ValueError(f"scenario {self.name!r} samples {total} points, "
@@ -91,22 +93,6 @@ class Scenario:
             raise ValueError(f"scenario {self.name!r} has nonpositive points")
         pts.flags.writeable = False
         return pts
-
-    def to_dict(self) -> dict:
-        segs = []
-        for seg in self.segments:
-            if isinstance(seg, LineSegment):
-                segs.append({"from": list(seg.start), "to": list(seg.end)})
-            else:
-                segs.append({
-                    "arc": {
-                        "center": list(seg.center),
-                        "radius": seg.radius,
-                        "a0": seg.a0,
-                        "a1": seg.a1,
-                    }
-                })
-        return {"name": self.name, "density": self.density, "segments": segs}
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
@@ -123,11 +109,6 @@ class Scenario:
         return cls(name=data["name"], segments=tuple(segments), density=float(data["density"]))
 
 
-def save_scenarios(path, scenarios) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump([s.to_dict() for s in scenarios], fh, indent=2, sort_keys=True)
-
-
 def load_scenarios(path) -> list[Scenario]:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
@@ -136,15 +117,10 @@ def load_scenarios(path) -> list[Scenario]:
     return [Scenario.from_dict(entry) for entry in data]
 
 
-def _deg(a: float) -> float:
-    return math.radians(a)
-
-
-def arc_scenario(name: str, spans_deg, radius: float = 1.0, density: float = 400.0,
-                 center=(0.0, 0.0)) -> Scenario:
-    """Circular-arc front covering the given angular spans (degrees)."""
+def arc_scenario(name: str, spans_deg, radius: float = 1.0, density: float = 400.0) -> Scenario:
+    """Circular-arc front about the origin covering the given angular spans (degrees)."""
     segs = tuple(
-        ArcSegment(center=center, radius=radius, a0=_deg(a), a1=_deg(b))
+        ArcSegment(center=(0.0, 0.0), radius=radius, a0=math.radians(a), a1=math.radians(b))
         for a, b in spans_deg
     )
     return Scenario(name=name, segments=segs, density=density)
@@ -172,20 +148,21 @@ _FRACTAL_SPANS = [(8.0, 25.0), (36.0, 56.0), (68.5, 80.0)]
 def _chord_scenario(name: str, spans_deg, radius: float = 1.0, density: float = 400.0) -> Scenario:
     segs = tuple(
         LineSegment(
-            start=(radius * math.cos(_deg(a)), radius * math.sin(_deg(a))),
-            end=(radius * math.cos(_deg(b)), radius * math.sin(_deg(b))),
+            start=(radius * math.cos(math.radians(a)), radius * math.sin(math.radians(a))),
+            end=(radius * math.cos(math.radians(b)), radius * math.sin(math.radians(b))),
         )
         for a, b in spans_deg
     )
     return Scenario(name=name, segments=segs, density=density)
 
 
-def _fragmented_spans(spans_deg, gap_deg: float = 0.4):
+def _fragmented_spans(spans_deg):
+    """Every span split in two by a 0.4-degree gap at its middle."""
     out = []
     for a, b in spans_deg:
         mid = (a + b) / 2.0
-        out.append((a, mid - gap_deg / 2.0))
-        out.append((mid + gap_deg / 2.0, b))
+        out.append((a, mid - 0.2))
+        out.append((mid + 0.2, b))
     return out
 
 
@@ -210,20 +187,11 @@ class ScenarioReport:
     n_active: int
     n_participating: int
     inaccuracy: float            # |n_active - N| / N at the final state
-    enabled_layers: dict[int, list[bool]]
+    enabled_layers: dict[str, list[bool]]   # str(h) keys: report.json sorts them as strings
     events: list[AdaptationEvent] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "n_active": self.n_active,
-            "n_participating": self.n_participating,
-            "inaccuracy": self.inaccuracy,
-            "enabled_layers": {str(h): bits for h, bits in self.enabled_layers.items()},
-            "events": [e.to_dict() for e in self.events],
-        }
+        return asdict(self)
 
 
 # Distinct (points, directions) calls whose active sets ``active_set``
@@ -240,11 +208,15 @@ def active_set(points: np.ndarray, directions: np.ndarray) -> np.ndarray:
     kept, keyed by each argument's content, shape and strides, and a miss
     associates the caller's arrays unchanged, because the dense pick
     among near-tied directions depends on the layout the matrix product
-    reads. Points must be 2-D.
+    reads. Points must be 2-D, and the dense matrix at most
+    ``MAX_ASSOCIATION_PAIRS`` (points x directions) entries.
     """
     P = np.asarray(points, dtype=float)
     if P.ndim != 2 or P.shape[1] != 2:
         raise ValueError("active_set takes (n, 2) scenario points")
+    if len(P) * len(directions) > MAX_ASSOCIATION_PAIRS:
+        raise ValueError(f"associating {len(P)} scenario points with {len(directions)} directions "
+                         f"exceeds the {MAX_ASSOCIATION_PAIRS} pair limit")
     key = tuple((A.tobytes(), A.shape, A.strides)
                 for A in (P, np.asarray(directions, dtype=float)))
     active = _active_sets.get(key)
@@ -294,9 +266,7 @@ def run_scenario(
         n_active=n_active,
         n_participating=len(directions),
         inaccuracy=abs(n_active - params.n) / params.n,
-        enabled_layers={
-            layer.h: layer.enabled.tolist() for layer in archive.layers
-        },
+        enabled_layers={str(layer.h): layer.enabled.tolist() for layer in archive.layers},
         events=events,
     )
 
@@ -376,7 +346,6 @@ def permutation_similarity(
     scenarios,
     params: AdaptationParams,
     carry_over: bool = False,
-    max_iters: int = 50,
 ) -> PermutationReport:
     """Process the scenarios in every order and compare enabled sets.
 
@@ -398,7 +367,7 @@ def permutation_similarity(
         for idx in perm:
             if not carry_over:
                 archive = ReferenceArchive.initialize(2, params.n)
-            report = run_scenario(scenarios[idx], archive, params, max_iters=max_iters)
+            report = run_scenario(scenarios[idx], archive, params)
             if not report.converged:
                 non_converged += 1
             snapshots[idx].append(enabled_point_keys(archive))

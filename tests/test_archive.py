@@ -1,6 +1,6 @@
 import numpy as np
 
-from refadapt.archive import IndividualArchive, maintain
+from refadapt.archive import maintain
 from refadapt.core import associate
 from refadapt.reference import ReferenceArchive
 from refadapt.runner import _objectives_csv
@@ -10,11 +10,14 @@ from oracles import dominates_oracle
 
 
 def test_initialization_from_first_centers():
-    ia = IndividualArchive.empty(4, 2)
-    assert len(ia) == 0
-    ia = maintain(ia, [[0.1] * 4, [0.2] * 4], [[1, 2], [2, 1]])
-    assert len(ia) == 2
-    assert ia.objectives.tolist() == [[1, 2], [2, 1]]
+    solutions = np.array([[0.1] * 4, [0.2] * 4, [0.3] * 4])
+    objectives = np.array([[1.0, 2.0], [3.0, 3.0], [2.0, 1.0]])
+    ia_X, ia_F = maintain(solutions, objectives, np.array([0, 2]))
+    assert ia_X.tolist() == [[0.1] * 4, [0.3] * 4]
+    assert ia_F.tolist() == [[1, 2], [2, 1]]
+    # the archive owns its rows: later edits of the pool leave it alone
+    objectives[0] = 9.0
+    assert ia_F.tolist() == [[1, 2], [2, 1]]
 
 
 def test_members_mutually_nondominated_by_construction():
@@ -22,10 +25,10 @@ def test_members_mutually_nondominated_by_construction():
     pool = rng.uniform(0.1, 2.0, (40, 3))
     Z = ReferenceArchive.initialize(3, 12).participating()[0]
     res = cascade_cluster(pool, Z, 12, pool.min(axis=0))
-    ia = maintain(IndividualArchive.empty(3, 3), pool[res.centers], pool[res.centers])
-    for i in range(len(ia)):
-        for j in range(len(ia)):
-            assert not dominates_oracle(ia.objectives[i], ia.objectives[j])
+    _, ia_F = maintain(pool, pool, res.centers)
+    for i in range(len(ia_F)):
+        for j in range(len(ia_F)):
+            assert not dominates_oracle(ia_F[i], ia_F[j])
 
 
 def test_size_bounded_by_participating_set():
@@ -41,22 +44,22 @@ def test_members_activate_distinct_vectors_across_generations():
     # members always map onto distinct reference vectors
     rng = np.random.default_rng(2)
     Z = ReferenceArchive.initialize(2, 10).participating()[0]
-    ia = IndividualArchive.empty(2, 2)
+    ia_F = np.empty((0, 2))
     for gen, spread in enumerate([1.0, 0.6, 0.3]):
         t = rng.uniform(0.25 - spread / 4, 0.25 + spread / 4, 30) * np.pi
         front = np.column_stack([np.cos(t), np.sin(t)]) + rng.uniform(0, 0.3, (30, 2))
-        pool = front if not len(ia) else np.vstack([front, ia.objectives])
+        pool = np.vstack([front, ia_F])
         ideal = pool.min(axis=0)
         res = cascade_cluster(pool, Z, 10, ideal)
-        ia = maintain(ia, pool[res.centers], pool[res.centers])
-        attached = associate(ia.objectives - ideal, Z)
-        assert len(set(attached.tolist())) == len(ia)
+        _, ia_F = maintain(pool, pool, res.centers)
+        attached = associate(ia_F - ideal, Z)
+        assert len(set(attached.tolist())) == len(ia_F)
         # exactly one member per active vector
         assert sorted(attached.tolist()) == res.active.tolist()
 
 
 def test_csv_dump(tmp_path):
-    ia = maintain(IndividualArchive.empty(2, 2), [[0.5, 0.5]], [[1.25, 2.5]])
+    _, ia_F = maintain(np.array([[0.5, 0.5]]), np.array([[1.25, 2.5]]), np.array([0]))
     path = tmp_path / "ia.csv"
-    _objectives_csv(path, ia.objectives)
+    _objectives_csv(path, ia_F)
     assert path.read_text().splitlines() == ["f1,f2", "1.25,2.5"]

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from refadapt.adaptation import AdaptationParams
 from refadapt.cli import _RUN_OPTIONS, _build_config, build_parser, main, parse_seeds
 from refadapt.runner import RunConfig
 from refadapt.variation import VariationParams
@@ -106,7 +107,10 @@ class TestExitCodes:
         ({"center": [0.0, 0.0], "radius": 1.0, "a0": 0.2, "a1": 1.2}, float("inf")),
         ({"center": [0.0, 0.0], "radius": float("inf"), "a0": 0.2, "a1": 1.2}, 400.0),
         ({"center": [0.0, 0.0], "radius": 1.0, "a0": 0.2, "a1": 1.2}, 1e12),
-    ], ids=["nan_center", "inf_density", "inf_radius", "huge_density"])
+        ({"center": [0.0, 0.0], "radius": 1.0, "a0": 0.2, "a1": 1.2}, 0.0),
+        ({"center": [0.0, 0.0], "radius": 1.0, "a0": 0.2, "a1": 1.2}, -5.0),
+    ], ids=["nan_center", "inf_density", "inf_radius", "huge_density", "zero_density",
+            "negative_density"])
     def test_non_finite_scenario_is_config_error(self, tmp_path, arc, density):
         path = tmp_path / "scenarios.json"
         path.write_text(json.dumps({"name": "bad", "density": density,
@@ -204,6 +208,10 @@ class TestSimulateCommand:
         report = json.loads(proc.stdout)
         assert len(report["scenarios"]) == 4
         assert all(entry["converged"] for entry in report["scenarios"])
+
+    def test_theta_defaults_to_library_default(self):
+        args = build_parser().parse_args(["simulate", "--scenarios", "s.json", "--n", "24"])
+        assert args.theta == AdaptationParams.theta
 
     def test_permutation_outputs(self, tmp_path):
         out = tmp_path / "sim"

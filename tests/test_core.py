@@ -3,13 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from refadapt.core import (
-    angle_matrix,
-    associate,
-    nearest,
-    nondominated_split,
-    update_ideal,
-)
+from refadapt.core import associate, nearest, nondominated_split, update_ideal
 
 from refadapt.reference import simplex_lattice
 from refadapt.simulate import default_scenarios
@@ -29,7 +23,8 @@ def dominates(a, b) -> bool:
 
 
 def angle(o, z) -> float:
-    return angle_matrix([o], [z])[0, 0]
+    """The library's angle between ``o`` and ``z``: nearest against ``z`` alone."""
+    return nearest([o], [z])[1][0]
 
 
 class TestDominates:
@@ -123,7 +118,6 @@ def assert_nearest_matches_oracle(points, targets):
     assert np.array_equal(index, want)
     assert np.array_equal(associate(points, targets), want)
     assert np.array_equal(got, ang[np.arange(len(ang)), want], equal_nan=True)
-    assert np.array_equal(angle_matrix(points, targets), ang, equal_nan=True)
 
 
 class TestNearest:
@@ -266,12 +260,3 @@ class TestIdealPoint:
 
     def test_elementwise_minimum(self):
         assert update_ideal([[1, 5], [3, 2]]).tolist() == [1, 2]
-
-
-def test_angle_matrix_shape_and_range():
-    rng = np.random.default_rng(2)
-    P = rng.uniform(0, 1, (10, 4))
-    Q = rng.uniform(0.01, 1, (6, 4))
-    ang = angle_matrix(P, Q)
-    assert ang.shape == (10, 6)
-    assert np.all(ang >= 0) and np.all(ang <= math.pi / 2 + 1e-12)

@@ -299,7 +299,7 @@ class TestExperiment:
         cfg = RunConfig(problem="dtlz2", seeds=(4,), **SMALL)
         result = experiment(cfg)
         rec = result.records[0]
-        spec = cfg.resolve_problem()
+        spec = cfg.validate()
         pf = spec.sample_true_pf(cfg.igd_samples)
         assert rec.igd_values[-1] == pytest.approx(igd(pf, rec.final_objectives), rel=1e-12)
 

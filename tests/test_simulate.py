@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import refadapt.adaptation as adaptation_mod
 from refadapt.adaptation import AdaptationParams
 from refadapt.core import associate, nondominated_split
 import refadapt.reference as reference_mod
-from refadapt.reference import ReferenceArchive, simplex_lattice
+from refadapt.reference import MAX_ASSOCIATION_PAIRS, ReferenceArchive, simplex_lattice
 import refadapt.simulate as simulate_mod
 from refadapt.simulate import (
     ACTIVE_SET_MEMO_SIZE,
@@ -24,7 +25,6 @@ from refadapt.simulate import (
     permutation_similarity,
     quarter_circle_scenario,
     run_scenario,
-    save_scenarios,
     similarity_matrix,
 )
 
@@ -134,23 +134,20 @@ class TestScenarioGeometry:
             front, rest = nondominated_split(sc.points())
             assert rest.tolist() == [], sc.name
 
-    def test_json_roundtrip(self, tmp_path):
-        path = tmp_path / "scenarios.json"
-        save_scenarios(path, default_scenarios())
-        back = load_scenarios(path)
-        assert [s.to_dict() for s in back] == [s.to_dict() for s in default_scenarios()]
-
     def test_committed_file_matches_builders(self):
         from pathlib import Path
 
         path = Path(__file__).resolve().parents[1] / "scenarios" / "fractal_default.json"
-        data = json.loads(path.read_text())
-        assert data == [s.to_dict() for s in default_scenarios()]
+        assert load_scenarios(path) == default_scenarios()
 
     def test_single_object_file(self, tmp_path):
         path = tmp_path / "one.json"
-        path.write_text(json.dumps(quarter_circle_scenario().to_dict()))
-        assert len(load_scenarios(path)) == 1
+        path.write_text(json.dumps({
+            "name": "quarter_circle", "density": 400.0,
+            "segments": [{"arc": {"center": [0.0, 0.0], "radius": 1.0,
+                                  "a0": math.radians(0.5), "a1": math.radians(89.5)}}],
+        }))
+        assert load_scenarios(path) == [quarter_circle_scenario()]
 
     def test_segment_samplers(self):
         line = LineSegment((1.0, 2.0), (2.0, 1.0))
@@ -374,6 +371,22 @@ class TestActiveSet:
     def test_points_must_be_two_dimensional(self):
         with pytest.raises(ValueError):
             active_set(np.ones((4, 3)), np.ones((2, 3)) / 3.0)
+
+    def test_oversized_association_rejected_before_any_work(self, monkeypatch):
+        def no_association(*args, **kwargs):
+            raise AssertionError("associated the call")
+
+        monkeypatch.setattr(simulate_mod, "associate", no_association)
+        simulate_mod._active_sets.clear()
+        points = np.ones((2**13, 2))
+        directions = np.ones((MAX_ASSOCIATION_PAIRS // len(points) + 1, 2))
+        with pytest.raises(ValueError, match=f"{len(points)} scenario points with "
+                                             f"{len(directions)} directions"):
+            active_set(points, directions)
+        assert not simulate_mod._active_sets
+        # exactly at the limit the call is associated
+        with pytest.raises(AssertionError, match="associated the call"):
+            active_set(points, directions[1:])
 
     def test_bad_directions_raise_as_in_associate(self):
         points = default_scenarios()[0].points()
