@@ -13,10 +13,8 @@ import logging
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .adaptation import AdaptationParams
-from .reference import ReferenceArchive, ReferenceLayer, simplex_lattice
+from .reference import ReferenceArchive
 from .runner import ConfigError, RunConfig, experiment
 from .simulate import load_scenarios, permutation_similarity, run_scenario
 from .variation import VariationParams
@@ -154,9 +152,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_lattice(args) -> int:
-    coords = simplex_lattice(args.m, args.h)
-    layer = ReferenceLayer(args.h, coords, np.ones(len(coords), dtype=bool))
-    print(json.dumps(ReferenceArchive(args.m, [layer]).to_json_dict(), indent=2, sort_keys=True))
+    print(json.dumps(ReferenceArchive(args.m, args.h).to_json_dict(), indent=2, sort_keys=True))
     return 0
 
 

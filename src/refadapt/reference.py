@@ -13,7 +13,7 @@ import bisect
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,10 +29,11 @@ MAX_LATTICE_POINTS = 5_000_000
 # float matrices, since moving it would change which shrinks run.
 MAX_ASSOCIATION_PAIRS = 2**25
 
-# Distinct base lattices and new layers kept per process. Every scenario
-# run of a permutation study starts from the same archive, so it builds the
-# same few (one of each per population size), and a small bound keeps them.
-# A shrink after an expand gets the retired layer's arrays back from here.
+# Layers kept per process, base and denser alike, each named by (M, base
+# density, density). Every scenario run of a permutation study starts from
+# the same archive, so it builds the same few (a base and its new layers per
+# population size), and a small bound keeps them. A shrink after an expand
+# gets the retired layer's arrays back from here.
 LAYER_MEMO_SIZE = 16
 
 
@@ -88,52 +89,45 @@ def initial_density(m: int, n: int) -> int:
 class ReferenceLayer:
     """One density level of the reference archive.
 
-    ``assoc`` maps each vector to its angularly nearest vector among the
-    stacked vectors of all lower layers (stack order, rows concatenated);
-    it is empty for the base layer. Layers are only pushed onto and popped
-    off the top of the archive, so this index space is the stacked layers
-    below the layer for as long as it is in the archive. ``enabled`` marks
-    the vectors that participate in selection. ``directions`` is
-    ``coords / h``, computed on first access and kept read-only, so
-    ``coords`` must not be changed after it is read.
+    ``coords``, ``directions`` and ``assoc`` are the layer memo's
+    read-only arrays, shared by every archive with the same M and base
+    density. ``assoc`` maps each vector to its angularly nearest vector
+    among the stacked vectors of all lower layers (stack order, rows
+    concatenated); it is empty for the base layer. Layers are only pushed
+    onto and popped off the top of the archive, so this index space is the
+    stacked layers below the layer for as long as it is in the archive.
+    ``enabled`` marks the vectors that participate in selection.
     """
 
     h: int
     coords: np.ndarray                     # (k, m) int, rows sum to h, lex order
+    directions: np.ndarray                 # (k, m) coords / h
+    assoc: np.ndarray                      # (k,) int64
     enabled: np.ndarray                    # (k,) bool
-    assoc: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
 
     def __len__(self) -> int:
         return len(self.coords)
-
-    @functools.cached_property
-    def directions(self) -> np.ndarray:
-        return _read_only(self.coords / float(self.h))
 
 
 class ReferenceArchive:
     """Ordered stack of reference layers with doubling densities.
 
-    ``layers`` holds the live layers, base first. Retiring the top layer
-    drops it; a later densification builds it again through the layer
-    memo, which hands back the same ``coords`` and ``assoc``. The base
-    layer is never removed and is fully enabled at initialization, so the
-    participating set is never empty.
+    ``ReferenceArchive(m, h)`` starts from one fully enabled base layer,
+    the lattice at density ``h``. ``layers`` holds the live layers, base
+    first. Retiring the top layer drops it; a later densification builds
+    it again through the layer memo, which hands back the same arrays. The
+    base layer is never removed, so the participating set is never empty.
     """
 
-    def __init__(self, m: int, layers: list[ReferenceLayer]):
-        if not layers:
-            raise ValueError("archive needs at least a base layer")
+    def __init__(self, m: int, h: int):
         self.m = m
-        self.layers = layers
+        coords, directions, assoc = _layer_arrays(m, h, h)
+        self.layers = [ReferenceLayer(h, coords, directions, assoc, np.ones(len(coords), dtype=bool))]
 
     @classmethod
     def initialize(cls, m: int, n: int) -> "ReferenceArchive":
         """Base archive for population size ``n``: one fully enabled layer."""
-        h = initial_density(m, n)
-        coords = _base_lattice(m, h)
-        base = ReferenceLayer(h=h, coords=coords, enabled=np.ones(len(coords), dtype=bool))
-        return cls(m, [base])
+        return cls(m, initial_density(m, n))
 
     @property
     def base_h(self) -> int:
@@ -162,23 +156,12 @@ class ReferenceArchive:
     def new_layer(self) -> ReferenceLayer:
         """Construct the next, denser layer without attaching it.
 
-        The layer density doubles the current top density. The stored
-        layers partition the lattice at half that density, which scaled by
-        two is exactly the all-even points, so a point is new when any of
-        its coordinates is odd. Every new vector starts disabled and is
-        associated with its nearest vector among the stored layers.
-        ``coords`` and ``assoc`` are read-only and shared with every
-        other archive whose stored directions are the same bytes.
+        The layer density doubles the current top density, and every new
+        vector starts disabled. The arrays come from the layer memo.
         """
-        h_new = 2 * self.layers[-1].h
-        stored = np.vstack([layer.directions for layer in self.layers])
-        coords, assoc = _new_layer(self.m, h_new, stored.tobytes())
-        return ReferenceLayer(
-            h=h_new,
-            coords=coords,
-            enabled=np.zeros(len(coords), dtype=bool),
-            assoc=assoc,
-        )
+        h = 2 * self.top_h
+        coords, directions, assoc = _layer_arrays(self.m, self.base_h, h)
+        return ReferenceLayer(h, coords, directions, assoc, np.zeros(len(coords), dtype=bool))
 
     def to_json_dict(self) -> dict:
         """Debug dump of the live layers: {M, layers: [{H, coords, enabled}]}."""
@@ -201,19 +184,20 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=LAYER_MEMO_SIZE)
-def _base_lattice(m: int, h: int) -> np.ndarray:
-    """The lattice at density ``h``, built once per process, read-only."""
-    return _read_only(simplex_lattice(m, h))
+def _layer_arrays(m: int, base_h: int, h: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (coords, directions, assoc) of the layer at density ``h``
+    above the base density ``base_h``.
 
-
-@functools.lru_cache(maxsize=LAYER_MEMO_SIZE)
-def _new_layer(m: int, h: int, stored: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (coords, assoc) of the layer at ``h`` above ``stored``.
-
-    Keyed by content, so an archive with other stored directions (a
-    hand-built base, say) gets its own association.
+    At ``h == base_h`` that is the whole lattice, with an empty ``assoc``.
+    The lower layers of a denser one partition the lattice at ``h / 2``,
+    which scaled by two is exactly the all-even points, so the layer holds
+    the points with an odd coordinate, each associated with its nearest
+    vector among the lower layers' directions stacked in layer order.
     """
     lattice = simplex_lattice(m, h)
-    coords = lattice[(lattice % 2).any(axis=1)]
-    assoc = associate(coords / float(h), np.frombuffer(stored).reshape(-1, m).copy())
-    return _read_only(coords), _read_only(assoc)
+    coords = lattice if h == base_h else lattice[(lattice % 2).any(axis=1)]
+    directions = _read_only(coords / float(h))
+    # the lower layers' directions, at densities base_h, 2 base_h, ..., h / 2
+    lower = [_layer_arrays(m, base_h, base_h << k)[1] for k in range((h // base_h).bit_length() - 1)]
+    assoc = associate(directions, np.vstack(lower)) if lower else np.empty(0, dtype=np.int64)
+    return _read_only(coords), directions, _read_only(assoc)

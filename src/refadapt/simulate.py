@@ -96,17 +96,29 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
+        name = data["name"]
+        if not data["segments"]:
+            raise ValueError(f"scenario {name!r} has no segments")
         segments = []
         for seg in data["segments"]:
             if "arc" in seg:
                 arc = seg["arc"]
                 segments.append(ArcSegment(
-                    center=tuple(arc["center"]), radius=float(arc["radius"]),
+                    center=_point(name, arc["center"]), radius=float(arc["radius"]),
                     a0=float(arc["a0"]), a1=float(arc["a1"]),
                 ))
             else:
-                segments.append(LineSegment(start=tuple(seg["from"]), end=tuple(seg["to"])))
-        return cls(name=data["name"], segments=tuple(segments), density=float(data["density"]))
+                segments.append(LineSegment(start=_point(name, seg["from"]),
+                                            end=_point(name, seg["to"])))
+        return cls(name=name, segments=tuple(segments), density=float(data["density"]))
+
+
+def _point(scenario: str, value) -> tuple:
+    """A segment point of a scenario file: two numbers, else ValueError."""
+    if not (isinstance(value, list) and len(value) == 2
+            and all(type(v) in (int, float) for v in value)):
+        raise ValueError(f"scenario {scenario!r} has a point that is not two numbers: {value!r}")
+    return tuple(value)
 
 
 def load_scenarios(path) -> list[Scenario]:
@@ -114,6 +126,9 @@ def load_scenarios(path) -> list[Scenario]:
         data = json.load(fh)
     if isinstance(data, dict):
         data = [data]
+    for i, entry in enumerate(data):
+        if not isinstance(entry, dict):
+            raise ValueError(f"scenario entry {i} is not a JSON object")
     return [Scenario.from_dict(entry) for entry in data]
 
 
@@ -274,15 +289,15 @@ def run_scenario(
 def enabled_point_keys(archive: ReferenceArchive) -> np.ndarray:
     """Sorted int64 stacked indices of the enabled vectors of the live layers.
 
-    Keys compare enabled sets only among archives that grew from one base
-    lattice, as every archive of a permutation study does (the same M and
-    population size). Each layer at the next density is then built from
-    the same stored directions, so a layer's vectors and their stacked
-    offset are the same in every such archive. Every layer above the base
-    holds only points with an odd coordinate, so a direction lives in
-    exactly one layer: a stacked index names one direction, and sets of
-    indices intersect and unite exactly as the directions' rational keys
-    (coordinates over the density, reduced by their gcd) would.
+    Keys compare enabled sets only among archives with the same M and
+    base density, as every archive of a permutation study has (the same M
+    and population size). That pair with a density is the key of the layer
+    memo, so a layer's vectors and their stacked offset are the same in
+    every such archive. Every layer above the base holds only points with
+    an odd coordinate, so a direction lives in exactly one layer: a stacked
+    index names one direction, and sets of indices intersect and unite
+    exactly as the directions' rational keys (coordinates over the density,
+    reduced by their gcd) would.
     """
     return np.flatnonzero(np.concatenate([layer.enabled for layer in archive.layers]))
 

@@ -65,7 +65,7 @@ def test_criterion_01_lattice_exactness():
             rows = {tuple(r) for r in pts.tolist()}
             ok &= len(rows) == len(pts)
         # layer set-difference sizes follow the binomial differences
-        arch = ReferenceArchive(m, [_full_layer(m, 2)])
+        arch = ReferenceArchive(m, 2)
         layer = arch.new_layer()
         ok &= len(layer) == lattice_size(m, 4) - lattice_size(m, 2)
         arch.layers.append(layer)
@@ -277,10 +277,3 @@ def test_criterion_11_byte_identical_reruns(tmp_path):
     ok &= not differing
     verdict(11, "identical config and seed reproduce outputs byte for byte", ok,
             f"{len(files_a)} files compared" + (f"; differing: {differing}" if differing else ""))
-
-
-def _full_layer(m, h):
-    from refadapt.reference import ReferenceLayer
-
-    coords = simplex_lattice(m, h)
-    return ReferenceLayer(h=h, coords=coords, enabled=np.ones(len(coords), dtype=bool))

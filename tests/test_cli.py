@@ -117,6 +117,39 @@ class TestExitCodes:
                                     "segments": [{"arc": arc}]}))
         assert main(["simulate", "--scenarios", str(path), "--n", "24"]) == 1
 
+    @pytest.mark.parametrize("content, message", [
+        ([{"name": "ok", "density": 400.0, "segments": [{"from": [0.1, 1.0], "to": [1.0, 0.1]}]},
+          [1, 2]], "scenario entry 1 is not a JSON object"),
+        ({"name": "bad", "density": 400.0, "segments": []}, "scenario 'bad' has no segments"),
+        ({"name": "bad", "density": 400.0,
+          "segments": [{"from": [1, 0, 1], "to": [0, 1, 1]}]},
+         "scenario 'bad' has a point that is not two numbers"),
+        ({"name": "bad", "density": 400.0,
+          "segments": [{"arc": {"center": ["0", 0], "radius": 1.0, "a0": 0.2, "a1": 1.2}}]},
+         "scenario 'bad' has a point that is not two numbers"),
+    ], ids=["entry_not_object", "no_segments", "three_coordinates", "string_coordinate"])
+    def test_malformed_scenario_is_config_error(self, tmp_path, caplog, content, message):
+        path = tmp_path / "scenarios.json"
+        path.write_text(json.dumps(content))
+        assert main(["simulate", "--scenarios", str(path), "--n", "24"]) == 1
+        assert message in caplog.text
+
+    def test_lattice_stdout_pinned(self):
+        # sha256 of `refadapt lattice --m 3 --h 4`
+        proc = cli("lattice", "--m", "3", "--h", "4")
+        assert proc.returncode == 0
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+            "ac904a00b2744594a86b84207922ce9b0929357ab38ce38a4c1bc47f4ac50525")
+
+    @pytest.mark.parametrize("m, h, message", [
+        (1, 3, "at least two objectives"),
+        (3, 0, "density must be positive"),
+        (12, 40, "above the 5000000 limit"),
+    ])
+    def test_invalid_lattice_is_config_error(self, caplog, m, h, message):
+        assert main(["lattice", "--m", str(m), "--h", str(h)]) == 1
+        assert message in caplog.text
+
 
 def _config_from(argv):
     return _build_config(build_parser().parse_args(["run", *argv]))

@@ -7,7 +7,6 @@ import pytest
 import refadapt.reference as reference_mod
 from refadapt.reference import (
     ReferenceArchive,
-    ReferenceLayer,
     initial_density,
     lattice_size,
     simplex_lattice,
@@ -89,7 +88,7 @@ class TestInitialDensity:
 
 class TestNewLayer:
     def test_m2_base_h4(self):
-        arch = ReferenceArchive(2, [_layer(2, 4)])
+        arch = ReferenceArchive(2, 4)
         layer = arch.new_layer()
         assert layer.h == 8
         assert len(layer) == 9 - 5
@@ -98,12 +97,12 @@ class TestNewLayer:
         assert not layer.enabled.any()
 
     def test_m3_base_h2(self):
-        arch = ReferenceArchive(3, [_layer(3, 2)])
+        arch = ReferenceArchive(3, 2)
         layer = arch.new_layer()
         assert layer.h == 4 and len(layer) == 15 - 6
 
     def test_third_layer_m2(self):
-        arch = ReferenceArchive(2, [_layer(2, 4)])
+        arch = ReferenceArchive(2, 4)
         arch.layers.append(arch.new_layer())
         top = arch.new_layer()
         assert top.h == 16 and len(top) == 17 - 9
@@ -112,7 +111,7 @@ class TestNewLayer:
         assert sorted(c[0] for c in top.coords.tolist()) == [1, 3, 5, 7, 9, 11, 13, 15]
 
     def test_association_targets_are_nearest_lower_vectors(self):
-        arch = ReferenceArchive(2, [_layer(2, 4)])
+        arch = ReferenceArchive(2, 4)
         layer = arch.new_layer()
         lower = arch.layers[0].directions
         for coord, target in zip(layer.coords.tolist(), layer.assoc.tolist()):
@@ -150,17 +149,20 @@ class TestLayerMemo:
         la.enabled[:] = True
         assert b.layers[0].enabled.all() and not lb.enabled.any()
 
-    @pytest.mark.parametrize("coords", [
-        [[0, 4], [1, 3], [3, 1], [4, 0]],                 # the H=4 lattice without (2, 2)
-        [[0.0, 4.0], [1.5, 2.5], [2.0, 2.0], [4.0, 0.0]],  # off-lattice rows
-    ])
-    def test_hand_built_base_gets_its_own_association(self, coords):
-        ReferenceArchive.initialize(2, 5).new_layer()     # the lattice's layer at H=8
-        base = ReferenceLayer(h=4, coords=np.asarray(coords), enabled=np.ones(4, dtype=bool))
-        arch = ReferenceArchive(2, [base])
-        layer = arch.new_layer()
-        assert layer.h == 8
-        assert np.array_equal(layer.assoc, associate_oracle(layer.directions, base.directions))
+    @pytest.mark.parametrize("m, base_h, depth", [(2, 4, 4), (3, 3, 3), (4, 2, 3), (5, 2, 2), (6, 2, 2)])
+    @pytest.mark.parametrize("clear", [False, True], ids=["memo_kept", "memo_cleared"])
+    def test_assoc_against_stacked_lower_layers(self, m, base_h, depth, clear):
+        # from the second new layer on, the stacked lower layers are not the
+        # lex-ordered lattice at half the density; clearing the memo before
+        # each layer rebuilds the lower layers in the middle of the chain
+        arch = ReferenceArchive(m, base_h)
+        for _ in range(depth):
+            if clear:
+                reference_mod._layer_arrays.cache_clear()
+            layer = arch.new_layer()
+            stored = np.vstack([lower.directions for lower in arch.layers])
+            assert np.array_equal(layer.assoc, associate_oracle(layer.directions, stored))
+            arch.layers.append(layer)
 
     def test_directions_computed_once_read_only(self):
         arch = ReferenceArchive.initialize(3, 10)
@@ -174,14 +176,12 @@ class TestLayerMemo:
                 directions[0, 0] = 0.0
 
     def test_memo_holds_at_most_its_bound(self):
-        reference_mod._base_lattice.cache_clear()
-        reference_mod._new_layer.cache_clear()
+        reference_mod._layer_arrays.cache_clear()
         for n in range(5, 2 * reference_mod.LAYER_MEMO_SIZE + 12, 2):
             ReferenceArchive.initialize(2, n).new_layer()
-        for memo in (reference_mod._base_lattice, reference_mod._new_layer):
-            info = memo.cache_info()
-            assert info.misses > reference_mod.LAYER_MEMO_SIZE
-            assert info.currsize == info.maxsize == reference_mod.LAYER_MEMO_SIZE
+        info = reference_mod._layer_arrays.cache_info()
+        assert info.misses > 2 * reference_mod.LAYER_MEMO_SIZE
+        assert info.currsize == info.maxsize == reference_mod.LAYER_MEMO_SIZE
 
 
 class TestNesting:
@@ -192,7 +192,7 @@ class TestNesting:
         assert coarse <= fine
 
     def test_layer_union_equals_top_density_lattice(self):
-        arch = ReferenceArchive(3, [_layer(3, 3)])
+        arch = ReferenceArchive(3, 3)
         for _ in range(2):
             arch.layers.append(arch.new_layer())
         top_h = arch.top_h
@@ -221,8 +221,3 @@ class TestArchive:
         assert set(layer) == {"H", "coords", "enabled"}
         assert layer["H"] == 4
         assert len(layer["coords"]) == len(layer["enabled"]) == 5
-
-
-def _layer(m, h):
-    coords = simplex_lattice(m, h)
-    return ReferenceLayer(h=h, coords=coords, enabled=np.ones(len(coords), dtype=bool))

@@ -404,15 +404,14 @@ class TestLayerReuse:
             out = []
             for sc, archive in zip(scenarios + scenarios, archives):
                 if clear:
-                    reference_mod._base_lattice.cache_clear()
-                    reference_mod._new_layer.cache_clear()
+                    reference_mod._layer_arrays.cache_clear()
                 out.append(run_scenario(sc, archive, PARAMS).to_dict())
             return out
 
         built = reports(clear=True)
-        before = reference_mod._new_layer.cache_info().hits
+        before = reference_mod._layer_arrays.cache_info().hits
         assert reports(clear=False) == built
-        assert reference_mod._new_layer.cache_info().hits > before
+        assert reference_mod._layer_arrays.cache_info().hits > before
 
     def test_archives_sharing_layers_adapt_independently(self):
         # the autouse fixture checks both archives after every adapt
