@@ -10,7 +10,7 @@ from scipy.special import stdtrit
 
 
 IGD_GROUP = 16          # populations that share one pass over the samples
-IGD_BLOCK = 2 ** 18     # distances per cdist block: 2 MiB of float64
+IGD_TILE = 128          # front samples a tile holds at most
 
 
 def igd(pf_samples, population):
@@ -19,11 +19,15 @@ def igd(pf_samples, population):
     Mean over the true-front samples of the minimum Euclidean distance to
     any population member; lower is better, and adding members can only
     lower it. An (n, M) population gives a float; a (T, n, M) stack gives
-    the (T,) values of its populations.
+    the (T,) values of its populations. Samples and members must be finite.
 
+    The samples are split into tiles of at most ``IGD_TILE`` nearby samples.
     Consecutive populations of a run share many members, so each group of
-    ``IGD_GROUP`` populations measures its distinct rows once, against
-    blocks of samples holding about ``IGD_BLOCK`` distances.
+    ``IGD_GROUP`` populations measures its distinct rows once per tile, and
+    only the rows that some population of the group may have nearest to a
+    sample of the tile (see :func:`_tile_minima`). Each kept distance is the
+    one ``cdist`` gives for the pair, and the minima are averaged in sample
+    order, so the values are bit for bit those of the full distance matrix.
     """
     S = np.atleast_2d(np.asarray(pf_samples, dtype=float))
     P = np.asarray(population, dtype=float)
@@ -32,22 +36,105 @@ def igd(pf_samples, population):
         P = np.atleast_2d(P)[None]
     if len(S) == 0 or P.shape[0] == 0 or P.shape[1] == 0:
         raise ValueError("igd needs nonempty sample and population sets")
+    if not (np.isfinite(S).all() and np.isfinite(P).all()):
+        raise ValueError("igd needs finite samples and population members")
+    tiles = _tiles(S, np.arange(len(S)))
+    order = np.concatenate(tiles)
+    sizes = np.array([len(t) for t in tiles])
+    cuts = np.r_[0, np.cumsum(sizes)]
+    S_tiled = S[order]
+    centres = np.add.reduceat(S_tiled, cuts[:-1]) / sizes[:, None]
+    radii = np.maximum.reduceat(
+        np.linalg.norm(S_tiled - np.repeat(centres, sizes, axis=0), axis=1), cuts[:-1])
+    m, n = P.shape[2], P.shape[1]
+    # see _tile_minima for the margin
+    rel = 8 * (m + 4) * np.finfo(float).eps
+    slack = rel * max(np.abs(S).max(), np.abs(P).max()) + np.sqrt(np.finfo(float).tiny)
+    # a chunk's (tile, population, member) bounds take no more room than
+    # the group's minima
+    step = max(1, len(S) // n)
     values = np.empty(len(P))
+    minima = np.empty((min(IGD_GROUP, len(P)), len(S)))
+    row = np.empty(len(S))
     for start in range(0, len(P), IGD_GROUP):
         group = P[start:start + IGD_GROUP]
-        rows, members = np.unique(group.reshape(-1, P.shape[2]), axis=0, return_inverse=True)
+        rows, members = np.unique(group.reshape(-1, m), axis=0, return_inverse=True)
         members = members.reshape(len(group), -1)
-        minima = np.empty((len(group), len(S)))
-        step = max(1, IGD_BLOCK // len(rows))
-        for lo in range(0, len(S), step):
-            d = cdist(rows, S[lo:lo + step], "sqeuclidean")
-            for k, idx in enumerate(members):
-                minima[k, lo:lo + step] = d[idx].min(axis=0)
+        for first in range(0, len(sizes), step):
+            last = min(first + step, len(sizes))
+            _tile_minima(rows, members, S_tiled, cuts[first:last + 1], centres[first:last],
+                         radii[first:last], rel, slack, minima[:len(group)])
         # sqrt is monotone and correctly rounded, so taking it after the
         # minimum gives the same bits as the minimum of Euclidean distances
-        for k, row in enumerate(minima):
+        for k in range(len(group)):
+            row[order] = minima[k]
             values[start + k] = np.sqrt(row).mean()
     return values if stacked else float(values[0])
+
+
+def _tiles(S, idx):
+    """Index arrays of at most ``IGD_TILE`` samples each, covering ``idx``.
+
+    A set too large for one tile is split at its median along the axis of
+    its widest extent, and each half is split again as needed.
+    """
+    if len(idx) <= IGD_TILE:
+        return [idx]
+    pts = S[idx]
+    half = len(idx) // 2
+    idx = idx[np.argpartition(pts[:, np.ptp(pts, axis=0).argmax()], half)]
+    return _tiles(S, idx[:half]) + _tiles(S, idx[half:])
+
+
+def _tile_minima(rows, members, S, cuts, centres, radii, rel, slack, out):
+    """Each population's least squared distance to each sample of some tiles.
+
+    ``members[k]`` indexes the rows of population k, tile t holds the
+    samples ``S[cuts[t]:cuts[t + 1]]`` within ``radii[t]`` of ``centres[t]``,
+    and ``out[k, s]`` receives population k's minimum over its members at
+    sample s of the tiles.
+
+    A member r is dropped for tile t when its distance to the centre exceeds
+    the population's least one by more than the tile's diameter:
+    d(r, c) > min_q d(q, c) + 2 rho. For every sample s of the tile,
+    d(s, r) >= d(r, c) - rho > min_q d(q, c) + rho >= d(s, q*) for the
+    member q* nearest the centre, so r is never the nearest, and q* is
+    always kept. The minimum over the kept members is therefore the
+    minimum over all of them, as the same float.
+
+    In floats, each distance here (cdist's squared distances to the samples,
+    the distances to the centres, the radii) is a sum of squares of
+    correctly rounded differences, or its root, so its relative error is
+    below (M + 3) eps / 2. The inequalities above then survive rounding
+    with a relative margin of (M + 4) eps on the limit; ``rel`` is eight
+    times that. ``slack`` adds ``rel`` times the largest coordinate
+    magnitude and the root of the smallest normal float, which exceeds any
+    error that underflow in the squares can make.
+    """
+    delta = cdist(centres, rows)[:, members]                     # (tiles, G, n)
+    limit = delta.min(axis=2) + 2 * radii[:, None]
+    limit += rel * limit + slack
+    keep = delta <= limit[:, :, None]
+    del delta                                # freed before the index arrays: peak memory
+    counts = keep.sum(axis=2)
+    flat = np.flatnonzero(keep)              # by tile, then population, then member
+    r_kept = members.ravel()[flat % members.size]
+    t_kept, g_kept = np.divmod(flat // members.shape[1], len(members))
+    del flat
+    rank = np.arange(len(r_kept)) - np.repeat(np.cumsum(counts) - counts.ravel(), counts.ravel())
+    # the rows a tile measures, and each kept member's place among them
+    need = np.zeros((len(centres), len(rows)), dtype=bool)
+    need[t_kept, r_kept] = True
+    place = (np.cumsum(need, axis=1) - 1)[t_kept, r_kept]
+    # gather table: tile, then rank among the population's kept members,
+    # then population; a population with fewer kept members repeats its first
+    table = np.empty((len(centres), counts.max(), len(members)), dtype=np.intp)
+    table[:] = place[rank == 0].reshape(len(centres), 1, len(members))
+    table[t_kept, rank, g_kept] = place
+    width = counts.max(axis=1)
+    for t in range(len(centres)):
+        d = cdist(rows[need[t]], S[cuts[t]:cuts[t + 1]], "sqeuclidean")
+        d.take(table[t, :width[t]], axis=0).min(axis=0, out=out[:, cuts[t]:cuts[t + 1]])
 
 
 @dataclass(frozen=True)

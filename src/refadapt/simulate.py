@@ -97,20 +97,26 @@ class Scenario:
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
         name = data["name"]
+        if not isinstance(data["segments"], list):
+            raise ValueError(f"scenario {name!r} has segments that are not a JSON list")
         if not data["segments"]:
             raise ValueError(f"scenario {name!r} has no segments")
         segments = []
-        for seg in data["segments"]:
+        for i, seg in enumerate(data["segments"]):
+            if not isinstance(seg, dict) or not isinstance(seg.get("arc", {}), dict):
+                raise ValueError(f"scenario {name!r} has a segment {i} that is not a JSON object")
             if "arc" in seg:
                 arc = seg["arc"]
                 segments.append(ArcSegment(
-                    center=_point(name, arc["center"]), radius=float(arc["radius"]),
-                    a0=float(arc["a0"]), a1=float(arc["a1"]),
+                    center=_point(name, arc["center"]),
+                    radius=_number(name, "radius", arc["radius"]),
+                    a0=_number(name, "a0", arc["a0"]), a1=_number(name, "a1", arc["a1"]),
                 ))
             else:
                 segments.append(LineSegment(start=_point(name, seg["from"]),
                                             end=_point(name, seg["to"])))
-        return cls(name=name, segments=tuple(segments), density=float(data["density"]))
+        return cls(name=name, segments=tuple(segments),
+                   density=_number(name, "density", data["density"]))
 
 
 def _point(scenario: str, value) -> tuple:
@@ -121,11 +127,20 @@ def _point(scenario: str, value) -> tuple:
     return tuple(value)
 
 
+def _number(scenario: str, key: str, value) -> float:
+    """A number of a scenario file, else ValueError: a JSON string is not one."""
+    if type(value) not in (int, float):
+        raise ValueError(f"scenario {scenario!r} has a non-numeric {key}: {value!r}")
+    return float(value)
+
+
 def load_scenarios(path) -> list[Scenario]:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if isinstance(data, dict):
         data = [data]
+    if not isinstance(data, list):
+        raise ValueError("a scenario file holds a JSON object or a list of them")
     for i, entry in enumerate(data):
         if not isinstance(entry, dict):
             raise ValueError(f"scenario entry {i} is not a JSON object")

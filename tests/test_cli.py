@@ -120,6 +120,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("content, message", [
         ([{"name": "ok", "density": 400.0, "segments": [{"from": [0.1, 1.0], "to": [1.0, 0.1]}]},
           [1, 2]], "scenario entry 1 is not a JSON object"),
+        (5, "a scenario file holds a JSON object or a list of them"),
         ({"name": "bad", "density": 400.0, "segments": []}, "scenario 'bad' has no segments"),
         ({"name": "bad", "density": 400.0,
           "segments": [{"from": [1, 0, 1], "to": [0, 1, 1]}]},
@@ -127,7 +128,27 @@ class TestExitCodes:
         ({"name": "bad", "density": 400.0,
           "segments": [{"arc": {"center": ["0", 0], "radius": 1.0, "a0": 0.2, "a1": 1.2}}]},
          "scenario 'bad' has a point that is not two numbers"),
-    ], ids=["entry_not_object", "no_segments", "three_coordinates", "string_coordinate"])
+        ({"name": "bad", "density": 400.0, "segments": [5]},
+         "scenario 'bad' has a segment 0 that is not a JSON object"),
+        ({"name": "bad", "density": 400.0, "segments": [{"arc": [0, 0]}]},
+         "scenario 'bad' has a segment 0 that is not a JSON object"),
+        ({"name": "bad", "density": 400.0, "segments": {"from": [0.1, 1.0], "to": [1.0, 0.1]}},
+         "scenario 'bad' has segments that are not a JSON list"),
+        ({"name": "bad", "density": 400.0,
+          "segments": [{"arc": {"center": [0, 0], "radius": "1", "a0": 0.2, "a1": 1.2}}]},
+         "scenario 'bad' has a non-numeric radius: '1'"),
+        ({"name": "bad", "density": 400.0,
+          "segments": [{"arc": {"center": [0, 0], "radius": 1.0, "a0": "0.2", "a1": 1.2}}]},
+         "scenario 'bad' has a non-numeric a0: '0.2'"),
+        ({"name": "bad", "density": 400.0,
+          "segments": [{"arc": {"center": [0, 0], "radius": 1.0, "a0": 0.2, "a1": True}}]},
+         "scenario 'bad' has a non-numeric a1: True"),
+        ({"name": "bad", "density": "400",
+          "segments": [{"from": [0.1, 1.0], "to": [1.0, 0.1]}]},
+         "scenario 'bad' has a non-numeric density: '400'"),
+    ], ids=["entry_not_object", "number_file", "no_segments", "three_coordinates",
+            "string_coordinate", "segment_not_object", "arc_not_object", "segments_not_list",
+            "string_radius", "string_a0", "bool_a1", "string_density"])
     def test_malformed_scenario_is_config_error(self, tmp_path, caplog, content, message):
         path = tmp_path / "scenarios.json"
         path.write_text(json.dumps(content))

@@ -76,7 +76,7 @@ class TestIgdStack:
     @pytest.mark.parametrize("T", [1, 16, 17, 40])
     def test_bit_equal_per_population(self, T):
         rng = np.random.default_rng(T)
-        S = rng.uniform(0, 1, (5000, 3))     # two blocks once a group has 53+ distinct rows
+        S = rng.uniform(0, 1, (5000, 3))     # 64 tiles of 78 samples
         _assert_stack_matches_oracle(S, _run_like_stack(rng, T, 30, 3))
 
     def test_random_stacks_with_shared_and_duplicated_rows(self):
@@ -99,17 +99,17 @@ class TestIgdStack:
         ])
         _assert_stack_matches_oracle(S, P)
 
-    def test_sample_count_off_the_block_step(self, monkeypatch):
-        monkeypatch.setattr(metrics_mod, "IGD_BLOCK", 64)
+    def test_sample_count_off_the_tile_size(self, monkeypatch):
+        monkeypatch.setattr(metrics_mod, "IGD_TILE", 8)
         rng = np.random.default_rng(5)
-        P = _run_like_stack(rng, 20, 6, 3)   # at most 12 distinct rows a group: steps of 5+
-        for size in (1, 7, 101, 333):
+        P = _run_like_stack(rng, 20, 6, 3)   # six rows: chunks of len(S) // 6 tiles
+        for size in (1, 7, 8, 9, 15, 16, 17, 101, 333):
             _assert_stack_matches_oracle(rng.uniform(0, 1, (size, 3)), P)
 
-    def test_more_distinct_rows_than_a_block_holds(self, monkeypatch):
-        monkeypatch.setattr(metrics_mod, "IGD_BLOCK", 16)
+    def test_one_sample_tiles_and_more_rows_than_samples(self, monkeypatch):
+        monkeypatch.setattr(metrics_mod, "IGD_TILE", 1)
         rng = np.random.default_rng(9)
-        P = rng.uniform(0, 1, (18, 5, 3))    # 80 distinct rows a group: one sample a block
+        P = rng.uniform(0, 1, (18, 30, 3))   # 480 distinct rows a group, one tile a chunk
         _assert_stack_matches_oracle(rng.uniform(0, 1, (23, 3)), P)
 
     def test_two_dimensional_input_gives_a_float(self):
@@ -126,6 +126,95 @@ class TestIgdStack:
             igd([[1, 2]], np.empty((0, 4, 2)))
         with pytest.raises(ValueError):
             igd([[1, 2]], np.empty((3, 0, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        S, P = np.ones((4, 2)), np.ones((3, 5, 2))
+        S[2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            igd(S, P)
+        S[2, 1] = 0.5
+        P[1, 3, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            igd(S, P)
+        with pytest.raises(ValueError, match="finite"):
+            igd(S, P[1])
+
+
+class TestIgdTilePruning:
+    """Stacks that probe the rounding margin of the tile bound (see metrics._tile_minima)."""
+
+    @pytest.mark.parametrize("offset", [1e4, 1e7, 1e11])
+    @pytest.mark.parametrize("spread", [1e-3, 1e-8])
+    def test_far_offset_narrow_spread(self, monkeypatch, offset, spread):
+        monkeypatch.setattr(metrics_mod, "IGD_TILE", 4)
+        rng = np.random.default_rng(int(np.log10(offset) * 10 - np.log10(spread)))
+        S = offset + spread * rng.uniform(0, 1, (200, 3))
+        P = offset + spread * _run_like_stack(rng, 20, 12, 3)
+        _assert_stack_matches_oracle(S, P)
+        _assert_stack_matches_oracle(-S, -P)
+
+    @pytest.mark.parametrize("tile", [1, 2, 5, 128])
+    def test_integer_grid_exact_ties(self, monkeypatch, tile):
+        monkeypatch.setattr(metrics_mod, "IGD_TILE", tile)
+        rng = np.random.default_rng(tile)
+        for m in (2, 3):
+            S = rng.integers(0, 5, (150, m)).astype(float)
+            P = rng.integers(0, 5, (20, 9, m)).astype(float)
+            _assert_stack_matches_oracle(S, P)
+
+    def test_duplicated_rows_and_samples(self, monkeypatch):
+        monkeypatch.setattr(metrics_mod, "IGD_TILE", 6)
+        rng = np.random.default_rng(11)
+        base = rng.uniform(0, 1, (25, 3))
+        S = base[rng.integers(0, 25, 130)]            # each sample several times
+        P = base[rng.integers(0, 10, (17, 8))]        # rows shared with the samples
+        _assert_stack_matches_oracle(S, P)
+        _assert_stack_matches_oracle(np.repeat(S[:1], 40, axis=0), P)
+
+    def test_one_row_populations(self, monkeypatch):
+        monkeypatch.setattr(metrics_mod, "IGD_TILE", 3)
+        rng = np.random.default_rng(13)
+        _assert_stack_matches_oracle(rng.uniform(0, 1, (50, 3)), rng.uniform(0, 1, (40, 1, 3)))
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_objective_counts_one_to_eight(self, monkeypatch, m):
+        monkeypatch.setattr(metrics_mod, "IGD_TILE", 16)
+        rng = np.random.default_rng(m)
+        S = rng.uniform(0, 1, (300, m))
+        S /= np.linalg.norm(S, axis=1, keepdims=True)  # a front-like shell
+        _assert_stack_matches_oracle(S, 1.05 * _run_like_stack(rng, 20, 15, m))
+
+    @pytest.mark.parametrize("S, P", [
+        ([[-0.013796200218952599], [-0.013799137048495698]],
+         [[-8.961738962909516], [8.93414656247161]]),
+        ([[-0.05513367451537756, -0.054173832596231375],
+          [-0.055144078620453015, -0.0541894033587772]],
+         [[-3.36662080435841, -5.010138752052509], [3.256353455327668, 4.901791086860037]]),
+        ([[-0.004101555426535935], [-0.004106774786173918]],
+         [[-2.2512803645352135], [2.2430772536821415]]),
+    ])
+    def test_bound_tied_within_rounding(self, S, P):
+        # the far member sits a tile diameter plus a few ulps beyond the
+        # nearer one: without the margin it is dropped, and the values differ
+        _assert_stack_matches_oracle(np.array(S), np.array(P)[None])
+
+    def test_pruning_skips_pairs_on_a_run_like_stack(self, monkeypatch):
+        pairs = []
+        real = metrics_mod.cdist
+
+        def counting(a, b, metric="euclidean"):
+            if metric == "sqeuclidean":
+                pairs.append(len(a) * len(b))
+            return real(a, b, metric)
+
+        monkeypatch.setattr(metrics_mod, "cdist", counting)
+        rng = np.random.default_rng(17)
+        S = rng.uniform(0, 1, (2000, 2))
+        P = _run_like_stack(rng, 16, 40, 2)
+        _assert_stack_matches_oracle(S, P)
+        rows = len(np.unique(P.reshape(-1, 2), axis=0))
+        assert sum(pairs) < 0.5 * rows * len(S)
 
 
 class TestTrajectory:
