@@ -28,13 +28,14 @@ for n in (10, 92, 240):
 
 # --- layered archive: densities double, duplicates are dropped --------------
 archive = ReferenceArchive.initialize(2, 5)   # base H=4, five vectors
-print("\nbase layer (M=2, H=4):", archive.layers[0].coords.tolist())
+print("\nbase layer (M=2, H=4):", archive.layer_views()[0][1].tolist())
 
-layer = archive.new_layer()
-archive.layers.append(layer)
-print(f"next layer H={layer.h} keeps only the new points:", layer.coords.tolist())
+assoc = archive.new_layer()
+archive.add_layer(np.zeros(len(archive.enabled), dtype=bool))   # nothing active yet
+h, coords, _ = archive.layer_views()[-1]
+print(f"next layer H={h} keeps only the new points:", coords.tolist())
 print("each new vector is associated with its nearest coarse vector:",
-      layer.assoc.tolist())
+      assoc.tolist())
 
 # the debug dump is plain JSON, handy for inspecting adaptation states
 print("\nJSON dump of the live layers:")

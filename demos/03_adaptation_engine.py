@@ -30,7 +30,7 @@ def drive(scenario, label):
     for step in range(1, 10):
         active = active_set(points, archive.participating()[0])
         _, event = adapt(archive, active, params, generation=step)
-        layers = [f"H={l.h}:{int(l.enabled.sum())}" for l in archive.layers]
+        layers = [f"H={h}:{int(enabled.sum())}" for h, _, enabled in archive.layer_views()]
         print(f"step {step}: active={len(active):3d} -> {event.kind:6s} "
               f"participating={event.participating_after:3d}  enabled per layer: "
               + " ".join(layers))

@@ -13,7 +13,6 @@ from .metrics import Trajectory, confidence_trajectory, igd, stability
 from .problems import ProblemSpec, available_problems, make_problem
 from .reference import (
     ReferenceArchive,
-    ReferenceLayer,
     initial_density,
     lattice_size,
     simplex_lattice,
@@ -47,7 +46,6 @@ __all__ = [
     "PermutationReport",
     "ProblemSpec",
     "ReferenceArchive",
-    "ReferenceLayer",
     "RunConfig",
     "RunRecord",
     "Scenario",

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import associate
+from .core import associate  # noqa: F401  a module attribute perfbench's tracing wraps
 from .reference import MAX_ASSOCIATION_PAIRS, ReferenceArchive, lattice_size
 
 log = logging.getLogger(__name__)
@@ -70,16 +70,15 @@ def adapt(
     mutated in place; the return value is the resulting participating
     direction matrix together with an event record. When the active count
     already sits inside the tolerance band, or a guard forbids the
-    requested subroutine, nothing changes, the event kind is "none" and
-    the participating directions read at entry are returned.
+    requested subroutine, nothing changes and the event kind is "none".
     """
     active = np.asarray(active, dtype=np.int64)
-    directions, stacked = archive.participating()
+    stacked = np.flatnonzero(archive.enabled)
     if len(active) and (active.min() < 0 or active.max() >= len(stacked)):
         raise ValueError("active indices outside the participating set")
     # activity over the stacked live layers, the index space of a new
     # layer's ``assoc``
-    is_active = np.zeros(sum(len(layer) for layer in archive.layers), dtype=bool)
+    is_active = np.zeros(len(archive.enabled), dtype=bool)
     is_active[stacked[active]] = True
     n_active = int(is_active.sum())       # repeated indices count once
     low, high = params.band
@@ -92,7 +91,7 @@ def adapt(
         # a new layer is associated with every stored vector, the full
         # lattice at the top stored density; within this pair bound the
         # lattice at ``target_h`` also stays under MAX_LATTICE_POINTS
-        stored = lattice_size(archive.m, archive.top_h)
+        stored = len(is_active)
         new = lattice_size(archive.m, target_h) - stored
         if target_h > DENSITY_CAP_FACTOR * archive.base_h:
             log.warning(
@@ -105,28 +104,21 @@ def adapt(
                 target_h, new, stored,
             )
         else:
-            layer = archive.new_layer()
-            layer.enabled = is_active[layer.assoc]
-            archive.layers.append(layer)
+            archive.add_layer(is_active)
             kind = "shrink"
 
     elif n_active > high:
-        if len(archive.layers) == 1:
+        if archive.top_h == archive.base_h:
             # the base layer is never removed; expanding past it would
             # empty the archive
             log.debug("expand requested with only the base layer live; skipped")
         else:
-            top_dirs = archive.layers.pop().directions
-            bottom = len(is_active) - len(top_dirs)
-            # (lower x top) pairs, bounded as when the top layer was built
-            for lower_layer in archive.layers:
-                back = associate(lower_layer.directions, top_dirs)
-                lower_layer.enabled |= is_active[bottom:][back]
+            archive.retire_layer(is_active)
             kind = "expand"
-            active_after = int(is_active[:bottom].sum())
+            # the retired layer's rows ended the stack
+            active_after = int(is_active[:len(archive.enabled)].sum())
 
-    if kind != "none":
-        directions = archive.participating()[0]
+    directions = archive.participating()[0]
     event = AdaptationEvent(
         kind=kind,
         generation=generation,

@@ -13,7 +13,6 @@ import bisect
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,12 +28,12 @@ MAX_LATTICE_POINTS = 5_000_000
 # float matrices, since moving it would change which shrinks run.
 MAX_ASSOCIATION_PAIRS = 2**25
 
-# Layers kept per process, base and denser alike, each named by (M, base
-# density, density). Every scenario run of a permutation study starts from
-# the same archive, so it builds the same few (a base and its new layers per
+# Layer stacks kept per process, each named by (M, base density, top
+# density). Every scenario run of a permutation study starts from the same
+# archive, so it builds the same few (a base and its denser stacks per
 # population size), and a small bound keeps them. A shrink after an expand
 # gets the retired layer's arrays back from here.
-LAYER_MEMO_SIZE = 16
+STACK_MEMO_SIZE = 16
 
 
 def lattice_size(m: int, h: int) -> int:
@@ -85,119 +84,113 @@ def initial_density(m: int, n: int) -> int:
     return bisect.bisect_left(range(hi), n, lo=hi // 2, key=lambda h: lattice_size(m, h))
 
 
-@dataclass
-class ReferenceLayer:
-    """One density level of the reference archive.
-
-    ``coords``, ``directions`` and ``assoc`` are the layer memo's
-    read-only arrays, shared by every archive with the same M and base
-    density. ``assoc`` maps each vector to its angularly nearest vector
-    among the stacked vectors of all lower layers (stack order, rows
-    concatenated); it is empty for the base layer. Layers are only pushed
-    onto and popped off the top of the archive, so this index space is the
-    stacked layers below the layer for as long as it is in the archive.
-    ``enabled`` marks the vectors that participate in selection.
-    """
-
-    h: int
-    coords: np.ndarray                     # (k, m) int, rows sum to h, lex order
-    directions: np.ndarray                 # (k, m) coords / h
-    assoc: np.ndarray                      # (k,) int64
-    enabled: np.ndarray                    # (k,) bool
-
-    def __len__(self) -> int:
-        return len(self.coords)
-
-
 class ReferenceArchive:
     """Ordered stack of reference layers with doubling densities.
 
     ``ReferenceArchive(m, h)`` starts from one fully enabled base layer,
-    the lattice at density ``h``. ``layers`` holds the live layers, base
-    first. Retiring the top layer drops it; a later densification builds
-    it again through the layer memo, which hands back the same arrays. The
-    base layer is never removed, so the participating set is never empty.
+    the lattice at density ``h``. The live layers at densities
+    ``base_h, 2 base_h, ..., top_h`` together hold exactly the lattice at
+    ``top_h``: stacked base first, each layer's rows in lex order, they are
+    the index space of ``enabled``, and layer k ends at stacked row
+    ``lattice_size(m, base_h << k)``. Retiring the top layer truncates the
+    stack; a later densification gets its arrays back from the stack memo.
+    The base layer is never removed, so the participating set is never
+    empty.
     """
 
     def __init__(self, m: int, h: int):
         self.m = m
-        coords, directions, assoc = _layer_arrays(m, h, h)
-        self.layers = [ReferenceLayer(h, coords, directions, assoc, np.ones(len(coords), dtype=bool))]
+        self.base_h = self.top_h = h
+        # the stack first: an oversized lattice raises before any allocation
+        self.enabled = np.ones(len(_stack(m, h, h)[0]), dtype=bool)
 
     @classmethod
     def initialize(cls, m: int, n: int) -> "ReferenceArchive":
         """Base archive for population size ``n``: one fully enabled layer."""
         return cls(m, initial_density(m, n))
 
-    @property
-    def base_h(self) -> int:
-        return self.layers[0].h
-
-    @property
-    def top_h(self) -> int:
-        return self.layers[-1].h
-
     def participating(self) -> tuple[np.ndarray, np.ndarray]:
         """Enabled vectors of the live layers.
 
         Returns (directions (p, m), stacked (p,)): ``stacked`` indexes the
-        live layers' vectors stacked in layer order, enabled or not, which
-        is the index space of a new layer's ``assoc``. Rows keep stack
-        order, so participating indices are stable between calls that do
-        not mutate the archive. ``directions`` gathers each layer's
-        enabled rows of its cached ``directions``; only the enabled rows
-        are copied.
+        stacked live layers, enabled or not, which is the index space of a
+        new layer's ``assoc``. Rows keep stack order, so participating
+        indices are stable between calls that do not mutate the archive.
+        Only the enabled rows of the memo's directions are copied.
         """
-        stacked = np.flatnonzero(np.concatenate([layer.enabled for layer in self.layers]))
+        stacked = np.flatnonzero(self.enabled)
         if not len(stacked):
             raise ValueError("participating reference-vector set is empty")
-        return np.concatenate([layer.directions[layer.enabled] for layer in self.layers]), stacked
+        return _stack(self.m, self.base_h, self.top_h)[1][stacked], stacked
 
-    def new_layer(self) -> ReferenceLayer:
-        """Construct the next, denser layer without attaching it.
+    def new_layer(self) -> np.ndarray:
+        """``assoc`` of the next, denser layer, without attaching it.
 
-        The layer density doubles the current top density, and every new
-        vector starts disabled. The arrays come from the layer memo.
+        The layer density doubles the current top density; entry i maps
+        the layer's i-th vector to its angularly nearest stored vector, by
+        stacked index. The array comes from the stack memo.
         """
-        h = 2 * self.top_h
-        coords, directions, assoc = _layer_arrays(self.m, self.base_h, h)
-        return ReferenceLayer(h, coords, directions, assoc, np.zeros(len(coords), dtype=bool))
+        return _stack(self.m, self.base_h, 2 * self.top_h)[2][len(self.enabled):]
+
+    def add_layer(self, is_active: np.ndarray) -> None:
+        """Attach the next layer, enabling the new vectors associated with an
+        active stored one; ``is_active`` is a flag per stored vector."""
+        self.enabled = np.concatenate([self.enabled, is_active[self.new_layer()]])
+        self.top_h *= 2
+
+    def retire_layer(self, is_active: np.ndarray) -> None:
+        """Drop the top layer after enabling every lower vector whose nearest
+        top-layer vector is active; ``is_active`` is a flag per stored vector.
+
+        The lower vectors are associated with the top layer's in one call,
+        (lower x top) pairs, bounded as when the top layer was built.
+        """
+        directions = _stack(self.m, self.base_h, self.top_h)[1]
+        bottom = lattice_size(self.m, self.top_h // 2)
+        back = associate(directions[:bottom], directions[bottom:])
+        self.enabled = self.enabled[:bottom] | is_active[bottom:][back]
+        self.top_h //= 2
+
+    def layer_views(self) -> list[tuple[int, np.ndarray, np.ndarray]]:
+        """(density, coords, enabled) of each live layer, base first: views
+        of the stack split at the layer ends."""
+        densities = [self.base_h << k for k in range((self.top_h // self.base_h).bit_length())]
+        ends = [lattice_size(self.m, h) for h in densities[:-1]]
+        coords = _stack(self.m, self.base_h, self.top_h)[0]
+        return list(zip(densities, np.split(coords, ends), np.split(self.enabled, ends)))
 
     def to_json_dict(self) -> dict:
         """Debug dump of the live layers: {M, layers: [{H, coords, enabled}]}."""
         return {
             "M": self.m,
             "layers": [
-                {
-                    "H": layer.h,
-                    "coords": layer.coords.tolist(),
-                    "enabled": layer.enabled.tolist(),
-                }
-                for layer in self.layers
+                {"H": h, "coords": coords.tolist(), "enabled": enabled.tolist()}
+                for h, coords, enabled in self.layer_views()
             ],
         }
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
+@functools.lru_cache(maxsize=STACK_MEMO_SIZE)
+def _stack(m: int, base_h: int, h: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only stacked (coords, directions, assoc) of the layers at
+    densities ``base_h, 2 base_h, ..., h``, base first.
 
-
-@functools.lru_cache(maxsize=LAYER_MEMO_SIZE)
-def _layer_arrays(m: int, base_h: int, h: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only (coords, directions, assoc) of the layer at density ``h``
-    above the base density ``base_h``.
-
-    At ``h == base_h`` that is the whole lattice, with an empty ``assoc``.
-    The lower layers of a denser one partition the lattice at ``h / 2``,
-    which scaled by two is exactly the all-even points, so the layer holds
-    the points with an odd coordinate, each associated with its nearest
-    vector among the lower layers' directions stacked in layer order.
+    Each row keeps its own layer's density: its coords sum to it, and its
+    direction is coords over it. At ``h == base_h`` the stack is the whole
+    lattice, with ``assoc`` -1. The stack at ``h / 2``, scaled by two, is
+    exactly the all-even points of the lattice at ``h``, so the layer at
+    ``h`` holds the points with an odd coordinate, appended in lex order,
+    each associated with its nearest vector of the stack at ``h / 2``.
     """
     lattice = simplex_lattice(m, h)
-    coords = lattice if h == base_h else lattice[(lattice % 2).any(axis=1)]
-    directions = _read_only(coords / float(h))
-    # the lower layers' directions, at densities base_h, 2 base_h, ..., h / 2
-    lower = [_layer_arrays(m, base_h, base_h << k)[1] for k in range((h // base_h).bit_length() - 1)]
-    assoc = associate(directions, np.vstack(lower)) if lower else np.empty(0, dtype=np.int64)
-    return _read_only(coords), directions, _read_only(assoc)
+    if h == base_h:
+        stack = (lattice, lattice / float(h), np.full(len(lattice), -1, dtype=np.int64))
+    else:
+        lower = _stack(m, base_h, h // 2)
+        coords = lattice[(lattice % 2).any(axis=1)]
+        directions = coords / float(h)
+        new = (coords, directions, associate(directions, lower[1]))
+        stack = tuple(map(np.concatenate, zip(lower, new)))
+    for a in stack:
+        a.flags.writeable = False
+    return stack

@@ -97,6 +97,8 @@ class Scenario:
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
         name = data["name"]
+        if not isinstance(name, str):
+            raise ValueError(f"scenario name is not a string: {name!r}")
         if not isinstance(data["segments"], list):
             raise ValueError(f"scenario {name!r} has segments that are not a JSON list")
         if not data["segments"]:
@@ -296,7 +298,7 @@ def run_scenario(
         n_active=n_active,
         n_participating=len(directions),
         inaccuracy=abs(n_active - params.n) / params.n,
-        enabled_layers={str(layer.h): layer.enabled.tolist() for layer in archive.layers},
+        enabled_layers={str(h): enabled.tolist() for h, _, enabled in archive.layer_views()},
         events=events,
     )
 
@@ -306,15 +308,15 @@ def enabled_point_keys(archive: ReferenceArchive) -> np.ndarray:
 
     Keys compare enabled sets only among archives with the same M and
     base density, as every archive of a permutation study has (the same M
-    and population size). That pair with a density is the key of the layer
-    memo, so a layer's vectors and their stacked offset are the same in
-    every such archive. Every layer above the base holds only points with
-    an odd coordinate, so a direction lives in exactly one layer: a stacked
-    index names one direction, and sets of indices intersect and unite
-    exactly as the directions' rational keys (coordinates over the density,
-    reduced by their gcd) would.
+    and population size). That pair with a top density is the key of the
+    stack memo, and a shallower stack is a prefix of a deeper one, so a
+    stacked index names the same vector in every such archive. Every layer
+    above the base holds only points with an odd coordinate, so a direction
+    lives in exactly one layer: a stacked index names one direction, and
+    sets of indices intersect and unite exactly as the directions' rational
+    keys (coordinates over the density, reduced by their gcd) would.
     """
-    return np.flatnonzero(np.concatenate([layer.enabled for layer in archive.layers]))
+    return np.flatnonzero(archive.enabled)
 
 
 def similarity_matrix(sets) -> np.ndarray:

@@ -328,23 +328,54 @@ def stability_attempts_oracle(activity_history, w, adapt_refs=True):
 
 
 # ---------------------------------------------------------------------------
-# new reference layers
+# reference layers and archive
 
-def new_layer_coords_oracle(layers, m):
-    """Coordinates of the next layer: the lattice at twice the top density
-    minus every stored point, found by set lookup after scaling."""
+def layers_oracle(m, base_h, top_h):
+    """(density, coords) of each layer from ``base_h`` to ``top_h``, base
+    first: the lattice at the base density, then at each doubled density
+    the lattice rows with an odd coordinate."""
     from refadapt.reference import simplex_lattice
 
-    h_new = 2 * layers[-1].h
-    seen = set()
-    for layer in layers:
-        factor = h_new // layer.h
-        seen |= {tuple(int(c) * factor for c in row) for row in layer.coords.tolist()}
+    layers, h = [(base_h, simplex_lattice(m, base_h))], base_h
+    while h < top_h:
+        h *= 2
+        lattice = simplex_lattice(m, h)
+        layers.append((h, lattice[(lattice % 2).any(axis=1)]))
+    assert h == top_h
+    return layers
+
+
+def new_layer_coords_oracle(m, base_h, top_h):
+    """Coordinates of the layer above ``top_h``: the lattice at twice the top
+    density minus every stored point, found by set lookup after scaling."""
+    from refadapt.reference import simplex_lattice
+
+    h_new = 2 * top_h
+    seen, h = set(), base_h
+    while h <= top_h:
+        seen |= {tuple(c * (h_new // h) for c in row) for row in simplex_lattice(m, h).tolist()}
+        h *= 2
     return [row for row in simplex_lattice(m, h_new).tolist() if tuple(row) not in seen]
 
 
-# ---------------------------------------------------------------------------
-# reference archive
+def retire_association_oracle(m, base_h, top_h):
+    """The lower layers' nearest vectors of the top layer, one ``associate``
+    call per lower layer: the per-layer form of an expand's association,
+    each layer's directions its own array."""
+    from refadapt.core import associate
+
+    layers = [coords / float(h) for h, coords in layers_oracle(m, base_h, top_h)]
+    return np.concatenate([associate(lower, layers[-1]) for lower in layers[:-1]])
+
+
+def archive_layers_oracle(archive):
+    """(density, coords, enabled) of each live layer, the archive's flags
+    split by the oracle's layer sizes."""
+    layers = layers_oracle(archive.m, archive.base_h, archive.top_h)
+    ends = np.cumsum([len(coords) for _, coords in layers])[:-1]
+    return [(h, coords, enabled)
+            for (h, coords), enabled in zip(layers, np.split(archive.enabled, ends))]
+
 
 def participating_oracle(archive):
     """Enabled vectors of the live layers, one layer at a time.
@@ -352,41 +383,47 @@ def participating_oracle(archive):
     Returns (directions, layer_index, row_index) in stack order.
     """
     dirs, lis, rows = [], [], []
-    for li, layer in enumerate(archive.layers):
-        sel = np.flatnonzero(layer.enabled)
+    for li, (h, coords, enabled) in enumerate(archive_layers_oracle(archive)):
+        sel = np.flatnonzero(enabled)
         if len(sel):
-            dirs.append(layer.directions[sel])
+            dirs.append(coords[sel] / float(h))
             lis.append(np.full(len(sel), li, dtype=np.int64))
             rows.append(sel)
     return np.vstack(dirs), np.concatenate(lis), np.concatenate(rows)
 
 
 def check_archive(archive):
-    """Assert the layered archive's invariants.
+    """Assert the stacked archive's invariants against layers rebuilt here.
 
     The participating set is non-empty and equals the per-layer oracle,
     with stacked indices ``starts[layer] + row``, strictly increasing.
-    Stored layer densities double, every row above the base has an odd
-    coordinate (the parity nesting), and every ``assoc`` entry indexes
-    the stacked layers below its own.
+    The flags cover the lattice at the top density, the densities double
+    from the base to the top, the layer views are the oracle's layers,
+    and every ``assoc`` entry of the stack memo indexes the stacked layers
+    below its own (-1 on the base layer).
     """
+    from refadapt.reference import _stack, lattice_size
+
+    layers = archive_layers_oracle(archive)
     dirs, stacked = archive.participating()
     want_dirs, layer_idx, row_idx = participating_oracle(archive)
     assert len(stacked) > 0
     assert dirs.tobytes() == want_dirs.tobytes() and dirs.shape == want_dirs.shape
-    layers = archive.layers
-    starts = np.cumsum([0] + [len(layer) for layer in layers])
+    starts = np.cumsum([0] + [len(coords) for _, coords, _ in layers])
     assert np.array_equal(stacked, starts[layer_idx] + row_idx)
     assert np.all(np.diff(stacked) > 0)
-    for below, layer in enumerate(layers):
-        assert len(layer.enabled) == len(layer)
-        if below == 0:
-            assert len(layer.assoc) == 0
-            continue
-        assert layer.h == 2 * layers[below - 1].h
-        assert (layer.coords % 2).any(axis=1).all()
-        assert len(layer.assoc) == len(layer)
-        assert np.all((0 <= layer.assoc) & (layer.assoc < starts[below]))
+    assert archive.enabled.dtype == bool
+    assert len(archive.enabled) == starts[-1] == lattice_size(archive.m, archive.top_h)
+    views = archive.layer_views()
+    assert [h for h, _, _ in views] == [h for h, _, _ in layers]
+    for (_, coords, enabled), (_, want_coords, want_enabled) in zip(views, layers):
+        assert np.array_equal(coords, want_coords)
+        assert np.array_equal(enabled, want_enabled)
+    assoc = _stack(archive.m, archive.base_h, archive.top_h)[2]
+    assert np.all(assoc[:starts[1]] == -1)
+    for below in range(1, len(layers)):
+        rows = assoc[starts[below]:starts[below + 1]]
+        assert np.all((0 <= rows) & (rows < starts[below]))
 
 
 # ---------------------------------------------------------------------------
@@ -415,10 +452,10 @@ def brute_force_density_active(points, n, theta, m=2, cap_factor=64):
 def enabled_point_keys_oracle(archive):
     """Enabled points of the live layers reduced one row at a time by math.gcd."""
     keys = set()
-    for layer in archive.layers:
-        for row in layer.coords[layer.enabled].tolist():
-            g = math.gcd(layer.h, *row)
-            keys.add(tuple(c // g for c in row) + (layer.h // g,))
+    for h, coords, enabled in archive_layers_oracle(archive):
+        for row in coords[enabled].tolist():
+            g = math.gcd(h, *row)
+            keys.add(tuple(c // g for c in row) + (h // g,))
     return frozenset(keys)
 
 

@@ -66,11 +66,9 @@ def test_criterion_01_lattice_exactness():
             ok &= len(rows) == len(pts)
         # layer set-difference sizes follow the binomial differences
         arch = ReferenceArchive(m, 2)
-        layer = arch.new_layer()
-        ok &= len(layer) == lattice_size(m, 4) - lattice_size(m, 2)
-        arch.layers.append(layer)
-        top = arch.new_layer()
-        ok &= len(top) == lattice_size(m, 8) - lattice_size(m, 4)
+        ok &= len(arch.new_layer()) == lattice_size(m, 4) - lattice_size(m, 2)
+        arch.add_layer(np.zeros(len(arch.enabled), dtype=bool))
+        ok &= len(arch.new_layer()) == lattice_size(m, 8) - lattice_size(m, 4)
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 1.0
     verdict(1, "lattice sizes and layer differences are exact", ok,

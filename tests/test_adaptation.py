@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import refadapt.adaptation as adaptation_mod
+import refadapt.reference as reference_mod
 from refadapt.adaptation import AdaptationParams
 from refadapt.core import associate
 from refadapt.reference import (
@@ -11,7 +12,7 @@ from refadapt.reference import (
 )
 from refadapt.simulate import active_set, partial_arc_scenario
 
-from oracles import check_archive
+from oracles import check_archive, retire_association_oracle
 
 
 def adapt(archive, *args, **kwargs):
@@ -56,10 +57,9 @@ class TestShrink:
         params = AdaptationParams(n=5, theta=0.2)
         dirs, event = adapt(arch, [0, 1, 2], params)
         assert event.kind == "shrink"
-        assert len(arch.layers) == 2
-        new = arch.layers[1]
-        assert new.h == 8
-        assert new.enabled.tolist() == [True, True, False, False]
+        assert arch.top_h == 8
+        # rows 5..8 of the stack are the H=8 layer
+        assert arch.enabled[5:].tolist() == [True, True, False, False]
         assert event.participating_after == 7 == len(dirs)
         assert event.active_before == event.active_after == 3
 
@@ -72,14 +72,14 @@ class TestShrink:
             params = AdaptationParams(n=n, theta=0.2)
             k = len(arch.participating()[1])
             active = np.sort(rng.choice(k, size=max(1, int(0.3 * n)), replace=False))
+            assoc = arch.new_layer()
             _, event = adapt(arch, active, params)
             if event.kind != "shrink":
                 continue
-            new = arch.layers[-1]
             # the base layer is fully enabled, so a participating index is
             # also the stacked index that ``assoc`` points at; a vector is
             # enabled exactly when it points at an active one
-            assert np.array_equal(new.enabled, np.isin(new.assoc, active))
+            assert np.array_equal(arch.enabled[k:], np.isin(assoc, active))
 
     def test_third_layer_enables_from_active_in_both_lower_layers(self):
         # the active set spans the base layer and the second layer; the
@@ -89,23 +89,23 @@ class TestShrink:
         adapt(arch, [3, 4], AdaptationParams(n=5, theta=0.2))
         stacked = arch.participating()[1]
         # rows 2, 3 of the H=8 layer: participating 5, 6 are stacked 7, 8
-        assert arch.layers[1].enabled.tolist() == [False, False, True, True]
+        assert arch.enabled[5:].tolist() == [False, False, True, True]
         assert stacked[5:7].tolist() == [7, 8]
         _, event = adapt(arch, [0, 3, 5, 6], AdaptationParams(n=10, theta=0.2))
-        assert event.kind == "shrink" and len(arch.layers) == 3
-        base, second, third = arch.layers
-        nearest = associate(third.directions, np.vstack([base.directions, second.directions]))
+        assert event.kind == "shrink" and arch.top_h == 16
+        (_, base, _), (_, second, _), (_, third, _) = arch.layer_views()
+        nearest = associate(third / 16.0, np.vstack([base / 4.0, second / 8.0]))
         expected = np.isin(nearest, [0, 3, 7, 8])
-        assert np.array_equal(third.enabled, expected)
+        assert np.array_equal(arch.enabled[9:], expected)
         assert expected.any() and not expected.all()
 
     def test_never_disables_live_vectors(self):
         arch = base_archive(n=5)
         params = AdaptationParams(n=5, theta=0.2)
-        before = [layer.enabled.copy() for layer in arch.layers]
+        before = arch.enabled.copy()
         adapt(arch, [0], params)
-        for old, layer in zip(before, arch.layers):
-            assert np.all(layer.enabled[: len(old)] >= old)
+        assert len(arch.enabled) > len(before)
+        assert np.all(arch.enabled[: len(before)] >= before)
 
     def test_density_cap_turns_shrink_into_noop(self, monkeypatch):
         monkeypatch.setattr(adaptation_mod, "DENSITY_CAP_FACTOR", 1)
@@ -113,7 +113,7 @@ class TestShrink:
         params = AdaptationParams(n=5, theta=0.2)
         _, event = adapt(arch, [0], params)
         assert event.kind == "none"
-        assert len(arch.layers) == 1
+        assert arch.top_h == arch.base_h
 
     def test_oversized_association_turns_shrink_into_noop(self, caplog):
         # M=5 from H=5: new layers at H=10 (875 x 126 pairs) and H=20
@@ -126,7 +126,7 @@ class TestShrink:
         with caplog.at_level("WARNING", logger="refadapt.adaptation"):
             _, event = adapt(arch, [0], params)
         assert event.kind == "none"
-        assert len(arch.layers) == 3
+        assert arch.top_h == 20
         assert "would associate 125125 x 10626 vectors" in caplog.text
 
     def test_association_guard_skips_before_lattice_limit(self):
@@ -160,7 +160,7 @@ class Testband:
         params = AdaptationParams(n=3, theta=0.1)
         _, event = adapt(arch, [0, 1, 2, 3, 4], params)
         assert event.kind == "none"
-        assert len(arch.layers) == 1
+        assert arch.top_h == arch.base_h
 
     def test_repeated_active_indices_count_once(self):
         # one distinct active vector is below the band [4, 6] and shrinks,
@@ -187,33 +187,62 @@ class TestExpand:
         k = len(arch.participating()[1])
         _, event = adapt(arch, list(range(k)), params)  # 7 > 2.4 forces expand
         assert event.kind == "expand"
-        assert len(arch.layers) == 1
-        assert arch.layers[0].enabled.all()  # base stays fully enabled
+        assert arch.top_h == arch.base_h
+        assert arch.enabled.all()  # base stays fully enabled
 
     def test_expand_never_enables_top_layer(self):
         arch = self._shrunk_archive()
         params = AdaptationParams(n=2, theta=0.2)
-        top = arch.layers[1]
-        top_before = top.enabled.copy()
+        top_before = arch.layer_views()[1][2].copy()
         adapt(arch, list(range(len(arch.participating()[1]))), params)
-        assert np.array_equal(top.enabled, top_before)
+        # the retired flags are dropped with the layer; a shrink starts
+        # the layer again from the active set
+        assert len(arch.enabled) == 5
+        _, event = adapt(arch, [0, 1, 2], AdaptationParams(n=5, theta=0.2))
+        assert event.kind == "shrink"
+        assert np.array_equal(arch.layer_views()[1][2], top_before)
 
     def test_shrink_after_expand_rebuilds_layer_from_memo(self):
         arch = self._shrunk_archive()
         expand_params = AdaptationParams(n=2, theta=0.2)
-        retired = arch.layers[1]
+        retired = reference_mod._stack(2, 4, 8)
         adapt(arch, list(range(len(arch.participating()[1]))), expand_params)
         shrink_params = AdaptationParams(n=5, theta=0.2)
         _, event = adapt(arch, [3, 4], shrink_params)
         assert event.kind == "shrink"
-        assert len(arch.layers) == 2
-        # a new layer object over the retired layer's memoised arrays
-        assert arch.layers[1] is not retired
-        assert arch.layers[1].coords is retired.coords
-        assert arch.layers[1].assoc is retired.assoc
+        assert arch.top_h == 8
+        # the retired layer's arrays come back from the stack memo
+        assert reference_mod._stack(2, 4, 8) is retired
         # flags recomputed for the new active set: (5,3)/8 -> (3,1)/4 and
         # (7,1)/8 -> (4,0)/4 are the vectors associated with rows 3, 4
-        assert arch.layers[1].enabled.tolist() == [False, False, True, True]
+        assert arch.enabled[5:].tolist() == [False, False, True, True]
+
+
+    @pytest.mark.parametrize("m, n", [(2, 5), (2, 24), (2, 48), (2, 96), (2, 192), (2, 384),
+                                      (3, 20), (3, 92), (4, 50), (5, 35), (5, 126), (6, 60)])
+    def test_one_association_equals_per_layer_calls(self, m, n, monkeypatch):
+        # near-tied picks may depend on the shape of the call, so the one
+        # association of all lower layers with the top one is checked
+        # against one call per lower layer at every top density a run or
+        # study reaches, up to the pair guard or the density cap
+        calls = []
+
+        def recorded(points, directions):
+            calls.append(associate(points, directions))
+            return calls[-1]
+
+        monkeypatch.setattr(reference_mod, "associate", recorded)
+        arch = ReferenceArchive.initialize(m, n)
+        while (2 * arch.top_h <= adaptation_mod.DENSITY_CAP_FACTOR * arch.base_h
+               and (lattice_size(m, 2 * arch.top_h) - len(arch.enabled)) * len(arch.enabled)
+               <= MAX_ASSOCIATION_PAIRS):
+            arch.add_layer(np.zeros(len(arch.enabled), dtype=bool))
+        assert arch.top_h > arch.base_h
+        while arch.top_h > arch.base_h:
+            want = retire_association_oracle(m, arch.base_h, arch.top_h)
+            calls.clear()
+            arch.retire_layer(np.zeros(len(arch.enabled), dtype=bool))
+            assert len(calls) == 1 and np.array_equal(calls[0], want)
 
 
 class TestMonotoneGrowth:
@@ -244,4 +273,4 @@ def test_participating_never_empty_and_never_from_retired_layers():
         dirs, _ = adapt(arch, active, params)
         assert len(dirs) >= 1
         stacked = arch.participating()[1]
-        assert stacked.max() < sum(len(layer) for layer in arch.layers)
+        assert stacked.max() < len(arch.enabled)

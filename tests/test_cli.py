@@ -146,9 +146,12 @@ class TestExitCodes:
         ({"name": "bad", "density": "400",
           "segments": [{"from": [0.1, 1.0], "to": [1.0, 0.1]}]},
          "scenario 'bad' has a non-numeric density: '400'"),
+        ({"name": ["x"], "density": 400.0,
+          "segments": [{"from": [0.1, 1.0], "to": [1.0, 0.1]}]},
+         "scenario name is not a string: ['x']"),
     ], ids=["entry_not_object", "number_file", "no_segments", "three_coordinates",
             "string_coordinate", "segment_not_object", "arc_not_object", "segments_not_list",
-            "string_radius", "string_a0", "bool_a1", "string_density"])
+            "string_radius", "string_a0", "bool_a1", "string_density", "list_name"])
     def test_malformed_scenario_is_config_error(self, tmp_path, caplog, content, message):
         path = tmp_path / "scenarios.json"
         path.write_text(json.dumps(content))

@@ -12,7 +12,9 @@ from refadapt.reference import (
     simplex_lattice,
 )
 
-from oracles import associate_oracle, initial_density_oracle, new_layer_coords_oracle
+from oracles import (
+    associate_oracle, initial_density_oracle, layers_oracle, new_layer_coords_oracle,
+)
 
 
 class TestSimplexLattice:
@@ -86,36 +88,44 @@ class TestInitialDensity:
                 assert initial_density(m, n) == initial_density_oracle(m, n), n
 
 
+def grow(arch, layers=1):
+    """Attach ``layers`` new layers with every new vector disabled."""
+    for _ in range(layers):
+        arch.add_layer(np.zeros(len(arch.enabled), dtype=bool))
+    return arch
+
+
 class TestNewLayer:
     def test_m2_base_h4(self):
         arch = ReferenceArchive(2, 4)
-        layer = arch.new_layer()
-        assert layer.h == 8
-        assert len(layer) == 9 - 5
+        assert len(arch.new_layer()) == 9 - 5
+        h, coords, enabled = grow(arch).layer_views()[-1]
+        assert h == arch.top_h == 8
         # only odd numerators survive the set difference
-        assert all(c[0] % 2 == 1 for c in layer.coords.tolist())
-        assert not layer.enabled.any()
+        assert all(c[0] % 2 == 1 for c in coords.tolist())
+        assert not enabled.any()
 
     def test_m3_base_h2(self):
         arch = ReferenceArchive(3, 2)
-        layer = arch.new_layer()
-        assert layer.h == 4 and len(layer) == 15 - 6
+        assert len(arch.new_layer()) == 15 - 6
+        assert grow(arch).top_h == 4 and len(arch.enabled) == 15
 
     def test_third_layer_m2(self):
-        arch = ReferenceArchive(2, 4)
-        arch.layers.append(arch.new_layer())
-        top = arch.new_layer()
-        assert top.h == 16 and len(top) == 17 - 9
+        arch = grow(ReferenceArchive(2, 4))
+        assert len(arch.new_layer()) == 17 - 9
+        h, coords, _ = grow(arch).layer_views()[-1]
+        assert h == 16
         # derived by enumerating both lattices: the 8 missing points are
         # exactly the numerators not divisible by 2
-        assert sorted(c[0] for c in top.coords.tolist()) == [1, 3, 5, 7, 9, 11, 13, 15]
+        assert sorted(c[0] for c in coords.tolist()) == [1, 3, 5, 7, 9, 11, 13, 15]
 
     def test_association_targets_are_nearest_lower_vectors(self):
         arch = ReferenceArchive(2, 4)
-        layer = arch.new_layer()
-        lower = arch.layers[0].directions
-        for coord, target in zip(layer.coords.tolist(), layer.assoc.tolist()):
-            d = np.asarray(coord) / layer.h
+        assoc = arch.new_layer()
+        (_, base, _), (h, coords, _) = grow(arch).layer_views()
+        lower = base / 4.0
+        for coord, target in zip(coords.tolist(), assoc.tolist()):
+            d = np.asarray(coord) / h
             angles = np.arccos(np.clip(
                 lower @ d / (np.linalg.norm(lower, axis=1) * np.linalg.norm(d)), -1, 1))
             assert angles[target] == pytest.approx(angles.min())
@@ -127,61 +137,67 @@ class TestNewLayer:
     def test_parity_matches_set_oracle(self, m, n, layers):
         arch = ReferenceArchive.initialize(m, n)
         for _ in range(layers):
-            expected = new_layer_coords_oracle(arch.layers, m)
-            layer = arch.new_layer()
-            assert layer.coords.tolist() == expected
-            arch.layers.append(layer)
+            expected = new_layer_coords_oracle(m, arch.base_h, arch.top_h)
+            assert len(arch.new_layer()) == len(expected)
+            assert grow(arch).layer_views()[-1][1].tolist() == expected
 
 
 class TestLayerMemo:
     def test_fresh_archives_share_read_only_layers(self):
         a, b = ReferenceArchive.initialize(3, 10), ReferenceArchive.initialize(3, 10)
-        la, lb = a.new_layer(), b.new_layer()
-        for x, y in ((a.layers[0].coords, b.layers[0].coords),
-                     (la.coords, lb.coords), (la.assoc, lb.assoc)):
+        assert np.array_equal(a.new_layer(), b.new_layer())
+        (_, base_a, _), (_, top_a, _) = grow(a).layer_views()
+        (_, base_b, _), (_, top_b, _) = grow(b).layer_views()
+        for x, y in ((base_a, base_b), (top_a, top_b), (a.new_layer(), b.new_layer())):
             assert np.array_equal(x, y)
             for arr in (x, y):
                 assert not arr.flags.writeable
                 with pytest.raises(ValueError):
                     arr[0] = 1
-        # enabled masks stay per layer
-        a.layers[0].enabled[:] = False
-        la.enabled[:] = True
-        assert b.layers[0].enabled.all() and not lb.enabled.any()
+        # enabled masks stay per archive
+        a.enabled[:] = True
+        b.enabled[:10] = False
+        assert not b.enabled.any() and a.enabled.all()
 
     @pytest.mark.parametrize("m, base_h, depth", [(2, 4, 4), (3, 3, 3), (4, 2, 3), (5, 2, 2), (6, 2, 2)])
     @pytest.mark.parametrize("clear", [False, True], ids=["memo_kept", "memo_cleared"])
     def test_assoc_against_stacked_lower_layers(self, m, base_h, depth, clear):
         # from the second new layer on, the stacked lower layers are not the
         # lex-ordered lattice at half the density; clearing the memo before
-        # each layer rebuilds the lower layers in the middle of the chain
-        arch = ReferenceArchive(m, base_h)
-        for _ in range(depth):
+        # each stack rebuilds the lower stacks in the middle of the chain
+        layers = layers_oracle(m, base_h, base_h << depth)
+        for k in range(1, depth + 1):
             if clear:
-                reference_mod._layer_arrays.cache_clear()
-            layer = arch.new_layer()
-            stored = np.vstack([lower.directions for lower in arch.layers])
-            assert np.array_equal(layer.assoc, associate_oracle(layer.directions, stored))
-            arch.layers.append(layer)
+                reference_mod._stack.cache_clear()
+            coords, directions, assoc = reference_mod._stack(m, base_h, base_h << k)
+            lower = np.vstack([c / float(h) for h, c in layers[:k]])
+            h, new = layers[k]
+            assert np.array_equal(coords, np.vstack([c for _, c in layers[:k + 1]]))
+            assert directions[:len(lower)].tobytes() == lower.tobytes()
+            assert directions[len(lower):].tobytes() == (new / float(h)).tobytes()
+            assert np.all(assoc[:len(layers[0][1])] == -1)
+            assert np.array_equal(assoc[len(lower):], associate_oracle(new / float(h), lower))
+            # the lower stack is a prefix of this one
+            below = reference_mod._stack(m, base_h, base_h << (k - 1))
+            for shallow, deep in zip(below, (coords, directions, assoc)):
+                assert np.array_equal(deep[:len(shallow)], shallow)
 
     def test_directions_computed_once_read_only(self):
-        arch = ReferenceArchive.initialize(3, 10)
-        arch.layers.append(arch.new_layer())
-        for layer in arch.layers:
-            directions = layer.directions
-            assert layer.directions is directions
-            assert directions.tobytes() == (layer.coords / float(layer.h)).tobytes()
-            assert directions.shape == layer.coords.shape
-            with pytest.raises(ValueError):
-                directions[0, 0] = 0.0
+        arch = grow(ReferenceArchive.initialize(3, 10))
+        _, directions, _ = reference_mod._stack(3, 3, 6)
+        assert reference_mod._stack(3, 3, 6)[1] is directions
+        want = np.vstack([coords / float(h) for h, coords, _ in arch.layer_views()])
+        assert directions.tobytes() == want.tobytes() and directions.shape == want.shape
+        with pytest.raises(ValueError):
+            directions[0, 0] = 0.0
 
     def test_memo_holds_at_most_its_bound(self):
-        reference_mod._layer_arrays.cache_clear()
-        for n in range(5, 2 * reference_mod.LAYER_MEMO_SIZE + 12, 2):
+        reference_mod._stack.cache_clear()
+        for n in range(5, 2 * reference_mod.STACK_MEMO_SIZE + 12, 2):
             ReferenceArchive.initialize(2, n).new_layer()
-        info = reference_mod._layer_arrays.cache_info()
-        assert info.misses > 2 * reference_mod.LAYER_MEMO_SIZE
-        assert info.currsize == info.maxsize == reference_mod.LAYER_MEMO_SIZE
+        info = reference_mod._stack.cache_info()
+        assert info.misses > 2 * reference_mod.STACK_MEMO_SIZE
+        assert info.currsize == info.maxsize == reference_mod.STACK_MEMO_SIZE
 
 
 class TestNesting:
@@ -192,15 +208,14 @@ class TestNesting:
         assert coarse <= fine
 
     def test_layer_union_equals_top_density_lattice(self):
-        arch = ReferenceArchive(3, 3)
-        for _ in range(2):
-            arch.layers.append(arch.new_layer())
+        arch = grow(ReferenceArchive(3, 3), 2)
         top_h = arch.top_h
         union = set()
-        for layer in arch.layers:
-            union |= {tuple(r) for r in (layer.coords * (top_h // layer.h)).tolist()}
+        for h, coords, _ in arch.layer_views():
+            union |= {tuple(r) for r in (coords * (top_h // h)).tolist()}
         full = {tuple(r) for r in simplex_lattice(3, top_h).tolist()}
         assert union == full
+        assert len(arch.enabled) == len(full)
 
 
 class TestArchive:

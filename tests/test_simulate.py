@@ -321,7 +321,7 @@ class TestActiveSet:
         scene = scaled(default_scenarios()[0], ROW_183_SCALE).points()
         lattice = simplex_lattice(2, h) / float(h)
         archive = ReferenceArchive.initialize(2, h + 1)
-        archive.layers.append(archive.new_layer())
+        archive.add_layer(np.zeros(len(archive.enabled), dtype=bool))
         # the reversed view and its contiguous copy hold the same values,
         # yet a single diagonal row may pick differently against each
         variants = (lattice, lattice[::-1], np.ascontiguousarray(lattice[::-1]),
@@ -404,21 +404,22 @@ class TestLayerReuse:
             out = []
             for sc, archive in zip(scenarios + scenarios, archives):
                 if clear:
-                    reference_mod._layer_arrays.cache_clear()
+                    reference_mod._stack.cache_clear()
                 out.append(run_scenario(sc, archive, PARAMS).to_dict())
             return out
 
         built = reports(clear=True)
-        before = reference_mod._layer_arrays.cache_info().hits
+        before = reference_mod._stack.cache_info().hits
         assert reports(clear=False) == built
-        assert reference_mod._layer_arrays.cache_info().hits > before
+        assert reference_mod._stack.cache_info().hits > before
 
     def test_archives_sharing_layers_adapt_independently(self):
         # the autouse fixture checks both archives after every adapt
         a, b = fresh(), fresh()
         run_scenario(partial_arc_scenario(), a, PARAMS)
         run_scenario(partial_arc_scenario(), b, PARAMS)
-        assert a.layers[1].assoc is b.layers[1].assoc
+        # both read the same memoised stack above the base
+        assert a.top_h == b.top_h > a.base_h
         keys = enabled_point_keys(b)
         run_scenario(quarter_circle_scenario(), a, PARAMS)
         assert np.array_equal(enabled_point_keys(b), keys)
@@ -465,12 +466,10 @@ class TestEnabledKeys:
             archives = []
             for trial in range(12):
                 archive = ReferenceArchive.initialize(m, n)
-                for _ in range(3):
-                    archive.layers.append(archive.new_layer())
-                del archive.layers[int(rng.integers(1, 5)):]
+                for _ in range(int(rng.integers(0, 4))):
+                    archive.add_layer(np.zeros(len(archive.enabled), dtype=bool))
                 share = trial / 11.0 if trial % 3 else rng.random()
-                for layer in archive.layers:
-                    layer.enabled = rng.random(len(layer)) < share
+                archive.enabled = rng.random(len(archive.enabled)) < share
                 archives.append(archive)
             mat = assert_same_similarity(archives)
             assert ((0.0 < mat) & (mat < 100.0)).any()
