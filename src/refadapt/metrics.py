@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
-from scipy.special import stdtrit
 
 
 IGD_GROUP = 16          # populations that share one pass over the samples
@@ -111,6 +109,8 @@ def _tile_minima(rows, members, S, cuts, centres, radii, rel, slack, out):
     magnitude and the root of the smallest normal float, which exceeds any
     error that underflow in the squares can make.
     """
+    from scipy.spatial.distance import cdist
+
     delta = cdist(centres, rows)[:, members]                     # (tiles, G, n)
     limit = delta.min(axis=2) + 2 * radii[:, None]
     limit += rel * limit + slack
@@ -185,6 +185,8 @@ def confidence_trajectory(sample_times, igd_per_run, level: float = 0.95) -> Tra
     if runs == 1:
         row = values[0]
         return Trajectory(sample_times, row.copy(), row.copy(), row.copy())
+    from scipy.special import stdtrit
+
     logs = np.log(values)
     center = logs.mean(axis=0)
     sem = logs.std(axis=0, ddof=1) / np.sqrt(runs)

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .core import nearest, nondominated_split
 
@@ -58,6 +57,7 @@ def cascade_cluster(objs, directions, n_select: int, ideal) -> SelectionResult:
         raise ValueError("reference-vector set must be nonempty")
     if n_select < 1:
         raise ValueError("population size must be positive")
+    from scipy.spatial.distance import cdist
 
     translated = objs - np.asarray(ideal, dtype=float)
     frontier, non_frontier = nondominated_split(objs)

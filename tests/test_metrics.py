@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.spatial import distance
 
 import refadapt.metrics as metrics_mod
 from refadapt.metrics import Trajectory, confidence_trajectory, igd, stability
@@ -201,20 +202,21 @@ class TestIgdTilePruning:
 
     def test_pruning_skips_pairs_on_a_run_like_stack(self, monkeypatch):
         pairs = []
-        real = metrics_mod.cdist
+        real = distance.cdist
 
         def counting(a, b, metric="euclidean"):
             if metric == "sqeuclidean":
                 pairs.append(len(a) * len(b))
             return real(a, b, metric)
 
-        monkeypatch.setattr(metrics_mod, "cdist", counting)
+        # _tile_minima imports cdist when called, so it reads the patched one
+        monkeypatch.setattr(distance, "cdist", counting)
         rng = np.random.default_rng(17)
         S = rng.uniform(0, 1, (2000, 2))
         P = _run_like_stack(rng, 16, 40, 2)
         _assert_stack_matches_oracle(S, P)
         rows = len(np.unique(P.reshape(-1, 2), axis=0))
-        assert sum(pairs) < 0.5 * rows * len(S)
+        assert pairs and sum(pairs) < 0.5 * rows * len(S)
 
 
 class TestTrajectory:
@@ -297,18 +299,38 @@ class TestStability:
             stability(traj)
 
 
-def loads_scipy_stats(code: str) -> bool:
+def loads(code: str, prefix: str) -> bool:
+    """Whether running ``code`` in a fresh interpreter loads a module named ``prefix``*."""
     paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    code += "; print('scipy.stats' in sys.modules)"
+    code += f"; print(any(k.startswith({prefix!r}) for k in sys.modules))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
     return out.stdout.strip().splitlines()[-1] == "True"
 
 
-def test_import_leaves_scipy_stats_out():
-    # scipy.stats is most of the package's import time and nothing reads it
-    assert not loads_scipy_stats("import sys, refadapt")
+def test_import_leaves_scipy_out():
+    # scipy.spatial and scipy.special are most of the package's import time;
+    # only selection, IGD and the multi-seed interval read them
+    assert not loads("import sys, refadapt, refadapt.cli", "scipy")
+
+
+def test_scenario_run_leaves_scipy_out():
+    # the adaptation engine alone never reads scipy
+    code = ("import sys; from refadapt import AdaptationParams, ReferenceArchive, "
+            "default_scenarios, run_scenario; "
+            "r = [run_scenario(s, ReferenceArchive.initialize(2, 24), "
+            "AdaptationParams(n=24, theta=0.2)) for s in default_scenarios()]; "
+            "assert len(r) == 4")
+    assert not loads(code, "scipy")
+
+
+def test_one_run_trajectory_leaves_scipy_special_out():
+    # one run has no interval to take a quantile for; a single-seed
+    # experiment still loads scipy.special, which scipy.spatial.distance imports
+    code = ("import sys; from refadapt.metrics import confidence_trajectory; "
+            "t = confidence_trajectory([0, 1], [[1.0, 0.5]]); assert t.lower[1] == 0.5")
+    assert not loads(code, "scipy.special")
 
 
 def test_multi_seed_experiment_leaves_scipy_stats_out():
@@ -317,7 +339,7 @@ def test_multi_seed_experiment_leaves_scipy_stats_out():
             "r = experiment(RunConfig(problem='dtlz2', m=3, n=20, max_evals=1500, "
             "igd_samples=400, sample_points=11, seeds=(1, 2))); "
             "assert len(r.records) == 2 and r.trajectory is not None")
-    assert not loads_scipy_stats(code)
+    assert not loads(code, "scipy.stats")
 
 
 def test_t_quantile_equals_scipy_stats():
