@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -80,6 +81,50 @@ class TestFormulas:
         assert np.all(np.isfinite(F))
         for i in range(5):
             assert np.array_equal(spec.evaluate(X[i]), F[i])
+
+
+# sha256 of evaluate() over M in (2, 3, 5, 8) and D in (default, M + 2): a
+# seeded batch with an all-0 and an all-1 row, then one row on its own; and
+# of sample_true_pf(n) at the default D for n in (1, 50, 1000)
+PROBLEMS_PINNED = {
+    "dtlz1": ("a626e6b8d29a37373dfd592b72bb5f25c26451ff67da6be644cf987d274147c7",
+              "4349934083a7c00619f13fc23450c277b6aa3b6d49ab34daa014b99a8c409888"),
+    "dtlz2": ("73eb3d96dcc65a7502743f5d83a238193a0f11f6309a107f4b24937c44964ba9",
+              "1bf098f2f362999a3cce6e5d06d71e8c3fee2f1dd8dcf4a48d164f682c9124b6"),
+    "dtlz3": ("c997e4877690536cec9a8254d1c7eca2fa0c27e5b03abd1faa660b613062a28a",
+              "1bf098f2f362999a3cce6e5d06d71e8c3fee2f1dd8dcf4a48d164f682c9124b6"),
+    "dtlz4": ("f1905805876eb896f5995f0e2e2758310a2e43a8267af095ec8d2adcb9bb0a52",
+              "1bf098f2f362999a3cce6e5d06d71e8c3fee2f1dd8dcf4a48d164f682c9124b6"),
+    "dtlz5": ("6f7a8cb230be1e9aecdd3f6e9284a16fd010368fc0a74a7073f92512f64beb10",
+              "3257e4bc744f8ef9489cdf107d9889808ef68ed3909f2a76c48b4cae961202ae"),
+    "dtlz6": ("f208f7f8f338996b4e4341ec4c08849e8dc9d63eb74e2ee18eb4e23a5f53bc64",
+              "3257e4bc744f8ef9489cdf107d9889808ef68ed3909f2a76c48b4cae961202ae"),
+    "dtlz7": ("dc831a801cb2dc81038b9cad122e7800bed6e6e31037835eb14935c504737755",
+              "a030ba17fbf4a85900eb77480c690d020ba8817d9b895f87523ee75ef6b4a8ff"),
+    "maf1": ("490200b87b6a21a2f0b97e4d1c3947dbdd374319f4049d1cb623f213507b9131",
+             "951a4906b70f72a81d504e04424aaa14c9952514a035ce677823abfae48f93bf"),
+    "maf2": ("6c97197deb20afebd23b6fde06e124e45c5ef989faa246c2ff536caf569d98bf",
+             "65c28851ae1591d7377d6e69a7a2d8de3772b87c850d10054fbaf2a6154bd064"),
+    "maf6": ("7b15c60667a822e5396eda08ae7808d49124bac95d0e9fda79e31504c8842c2f",
+             "3257e4bc744f8ef9489cdf107d9889808ef68ed3909f2a76c48b4cae961202ae"),
+    "maf7": ("dc831a801cb2dc81038b9cad122e7800bed6e6e31037835eb14935c504737755",
+             "a030ba17fbf4a85900eb77480c690d020ba8817d9b895f87523ee75ef6b4a8ff"),
+}
+
+
+@pytest.mark.parametrize("name", ALL_PROBLEMS)
+def test_problems_pinned(name):
+    ev, pf = hashlib.sha256(), hashlib.sha256()
+    for m in (2, 3, 5, 8):
+        for d in (None, m + 2):
+            spec = make_problem(name, m, d)
+            X = np.random.default_rng(m).uniform(0.0, 1.0, (16, spec.d))
+            X[0], X[1] = 0.0, 1.0
+            ev.update(spec.evaluate(X).tobytes())
+            ev.update(spec.evaluate(X[2]).tobytes())
+        for n in (1, 50, 1000):
+            pf.update(make_problem(name, m).sample_true_pf(n).tobytes())
+    assert (ev.hexdigest(), pf.hexdigest()) == PROBLEMS_PINNED[name]
 
 
 class TestFrontSamplers:
