@@ -131,23 +131,22 @@ def _cmd_simulate(args) -> int:
         archive = ReferenceArchive.initialize(2, args.n)
         outcome = run_scenario(scenario, archive, params)
         report["scenarios"].append(outcome.to_dict())
+    perm = None
     if args.permutations:
         if len(scenarios) < 2:
             raise ConfigError("permutation study needs at least two scenarios")
         perm = permutation_similarity(scenarios, params, carry_over=args.carry_over)
         report["permutation_study"] = perm.to_dict()
-        if args.out:
-            out = Path(args.out)
-            out.mkdir(parents=True, exist_ok=True)
-            perm.write_matrix_csv(out / "similarity_matrix.csv")
     text = json.dumps(report, indent=2, sort_keys=True)
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "report.json").write_text(text + "\n", encoding="utf-8")
-        print(f"report written to {out}")
-    else:
+    if not args.out:
         print(text)
+        return 0
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    if perm is not None:
+        perm.write_matrix_csv(out / "similarity_matrix.csv")
+    (out / "report.json").write_text(text + "\n", encoding="utf-8")
+    print(f"report written to {out}")
     return 0
 
 

@@ -3,10 +3,9 @@
 Implements DTLZ1-7 plus four partial-front cases from the MaF suite
 (MaF1, MaF2, MaF6, MaF7). Decision vectors split into M-1 position
 variables and k distance variables (D = M + k - 1, with the conventional
-per-problem k, overridable). All evaluators are vectorized over (n, D)
-batches; every problem also knows whether its feasible objective space
-covers all directions ("full") or leaves some reference directions
-unreachable ("partial").
+per-problem k, overridable). Each problem is one vectorized objective
+function ``(X, m) -> F`` over (n, D) batches and one row of ``_PROBLEMS``,
+which pairs it with its front sampler and its k.
 """
 
 from __future__ import annotations
@@ -27,9 +26,8 @@ class ProblemSpec:
     d: int
     lower: np.ndarray
     upper: np.ndarray
-    fos_kind: str                    # "full" | "partial"
-    _evaluate: Callable = field(repr=False)
-    _pf_sampler: Callable = field(repr=False)
+    _objectives: Callable = field(repr=False)    # (X, m) -> F
+    _pf_sampler: Callable = field(repr=False)    # (m, n) -> front points
 
     def evaluate(self, x) -> np.ndarray:
         """Objective values of one solution or a batch of solutions."""
@@ -40,7 +38,7 @@ class ProblemSpec:
             raise ValueError(f"{self.name} expects {self.d} variables, got {X.shape[1]}")
         if not np.all((X >= self.lower) & (X <= self.upper)):
             raise ValueError(f"solution outside the box bounds of {self.name}")
-        F = self._evaluate(X)
+        F = self._objectives(X, self.m)
         return F[0] if single else F
 
     def sample_true_pf(self, n: int) -> np.ndarray:
@@ -62,21 +60,34 @@ def _g_rastrigin(xm):
     return 100.0 * (k + np.sum((xm - 0.5) ** 2 - np.cos(20.0 * np.pi * (xm - 0.5)), axis=1))
 
 
-def _hypersphere(theta):
+def _embed(a, b):
+    """(n, m) rows f_j = a_1 ... a_(m-j) * b_(m-j+1) from (n, m-1) factors, b_m = 1.
+
+    (cos theta, sin theta) land on the unit sphere, (x, 1 - x) on the unit
+    simplex.
+    """
+    ones = np.ones((len(a), 1))
+    cum = np.cumprod(np.hstack([ones, a]), axis=1)
+    return np.fliplr(cum) * np.hstack([ones, b[:, ::-1]])
+
+
+def _sphere(theta):
     """Map (n, m-1) angles in radians to (n, m) points on the unit sphere."""
-    n = theta.shape[0]
-    ones = np.ones((n, 1))
-    cum = np.cumprod(np.hstack([ones, np.cos(theta)]), axis=1)
-    return np.fliplr(cum) * np.hstack([ones, np.sin(theta[:, ::-1])])
+    return _embed(np.cos(theta), np.sin(theta))
 
 
-def _simplex_embed(pos):
-    """Map (n, m-1) position values in [0, 1] to (n, m) rows summing to 1."""
-    n = pos.shape[0]
-    ones = np.ones((n, 1))
-    cum = np.cumprod(np.hstack([ones, pos]), axis=1)
-    return np.fliplr(cum) * np.hstack([ones, 1.0 - pos[:, ::-1]])
+def _dtlz5_theta(pos, g):
+    """DTLZ5's angles: the first position as is, the rest pulled to pi/4 as g falls."""
+    theta = np.empty_like(pos)
+    theta[:, 0] = pos[:, 0]
+    if pos.shape[1] > 1:
+        gg = g[:, None]
+        theta[:, 1:] = (1.0 + 2.0 * gg * pos[:, 1:]) / (2.0 * (1.0 + gg))
+    return theta * np.pi / 2.0
 
+
+# ---------------------------------------------------------------------------
+# front samplers
 
 def _even_subset(points: np.ndarray, n: int) -> np.ndarray:
     if len(points) < n:
@@ -101,9 +112,6 @@ def _product_grid(axis_values: list[np.ndarray]) -> np.ndarray:
     mesh = np.meshgrid(*axis_values, indexing="ij")
     return np.column_stack([g.ravel() for g in mesh])
 
-
-# ---------------------------------------------------------------------------
-# front samplers
 
 def _pf_linear(m, n):
     return 0.5 * _lattice_directions(m, n)
@@ -163,152 +171,100 @@ def _pf_sphere_patch(m, n):
     per_dim = _grid_axes(m, n)
     axis = np.linspace(np.pi / 8.0, 3.0 * np.pi / 8.0, per_dim)
     theta = _product_grid([axis] * (m - 1))
-    return _even_subset(_hypersphere(theta), n)
+    return _even_subset(_sphere(theta), n)
 
 
 # ---------------------------------------------------------------------------
-# problem families
+# objectives, (n, D) decision batch -> (n, m) objective values
 
-def _make(name, m, d, fos, evaluate, sampler):
-    """Every problem here lives in the unit box [0, 1]^d."""
-    return ProblemSpec(
-        name=name, m=m, d=d, lower=np.zeros(d), upper=np.ones(d),
-        fos_kind=fos, _evaluate=evaluate, _pf_sampler=sampler,
-    )
+def _dtlz1(X, m):
+    pos = X[:, : m - 1]
+    return 0.5 * (1.0 + _g_rastrigin(X[:, m - 1:]))[:, None] * _embed(pos, 1.0 - pos)
 
 
-def _dtlz1(m, d):
-    def evaluate(X):
-        g = _g_rastrigin(X[:, m - 1:])
-        return 0.5 * (1.0 + g)[:, None] * _simplex_embed(X[:, : m - 1])
-    return _make("dtlz1", m, d, "full", evaluate, _pf_linear)
+def _dtlz2(X, m):
+    return (1.0 + _g_sphere(X[:, m - 1:]))[:, None] * _sphere(X[:, : m - 1] * np.pi / 2.0)
 
 
-def _dtlz2(m, d):
-    def evaluate(X):
-        g = _g_sphere(X[:, m - 1:])
-        return (1.0 + g)[:, None] * _hypersphere(X[:, : m - 1] * np.pi / 2.0)
-    return _make("dtlz2", m, d, "full", evaluate, _pf_sphere)
+def _dtlz3(X, m):
+    return (1.0 + _g_rastrigin(X[:, m - 1:]))[:, None] * _sphere(X[:, : m - 1] * np.pi / 2.0)
 
 
-def _dtlz3(m, d):
-    def evaluate(X):
-        g = _g_rastrigin(X[:, m - 1:])
-        return (1.0 + g)[:, None] * _hypersphere(X[:, : m - 1] * np.pi / 2.0)
-    return _make("dtlz3", m, d, "full", evaluate, _pf_sphere)
+def _dtlz4(X, m):
+    return (1.0 + _g_sphere(X[:, m - 1:]))[:, None] * _sphere(X[:, : m - 1] ** 100.0 * np.pi / 2.0)
 
 
-def _dtlz4(m, d):
-    def evaluate(X):
-        g = _g_sphere(X[:, m - 1:])
-        return (1.0 + g)[:, None] * _hypersphere(X[:, : m - 1] ** 100.0 * np.pi / 2.0)
-    return _make("dtlz4", m, d, "full", evaluate, _pf_sphere)
+def _dtlz5(X, m):
+    g = _g_sphere(X[:, m - 1:])
+    return (1.0 + g)[:, None] * _sphere(_dtlz5_theta(X[:, : m - 1], g))
 
 
-def _dtlz5_theta(pos, g):
-    theta = np.empty_like(pos)
-    theta[:, 0] = pos[:, 0]
-    if pos.shape[1] > 1:
-        gg = g[:, None]
-        theta[:, 1:] = (1.0 + 2.0 * gg * pos[:, 1:]) / (2.0 * (1.0 + gg))
-    return theta * np.pi / 2.0
+def _dtlz6(X, m):
+    g = np.sum(X[:, m - 1:] ** 0.1, axis=1)
+    return (1.0 + g)[:, None] * _sphere(_dtlz5_theta(X[:, : m - 1], g))
 
 
-def _dtlz5(m, d):
-    def evaluate(X):
-        g = _g_sphere(X[:, m - 1:])
-        return (1.0 + g)[:, None] * _hypersphere(_dtlz5_theta(X[:, : m - 1], g))
-    return _make("dtlz5", m, d, "partial", evaluate, _pf_degenerate_curve)
+def _dtlz7(X, m):
+    """DTLZ7, and MaF7, which is the same problem."""
+    k = X.shape[1] - m + 1
+    g = 1.0 + 9.0 / k * np.sum(X[:, m - 1:], axis=1)
+    front = X[:, : m - 1]
+    h = m - np.sum(front / (1.0 + g)[:, None] * (1.0 + np.sin(3.0 * np.pi * front)), axis=1)
+    return np.column_stack([front, (1.0 + g) * h])
 
 
-def _dtlz6(m, d):
-    def evaluate(X):
-        g = np.sum(X[:, m - 1:] ** 0.1, axis=1)
-        return (1.0 + g)[:, None] * _hypersphere(_dtlz5_theta(X[:, : m - 1], g))
-    return _make("dtlz6", m, d, "partial", evaluate, _pf_degenerate_curve)
+def _maf1(X, m):
+    pos = X[:, : m - 1]
+    return (1.0 + _g_sphere(X[:, m - 1:]))[:, None] * (1.0 - _embed(pos, 1.0 - pos))
 
 
-def _dtlz7_eval(m):
-    def evaluate(X):
-        k = X.shape[1] - m + 1
-        g = 1.0 + 9.0 / k * np.sum(X[:, m - 1:], axis=1)
-        front = X[:, : m - 1]
-        h = m - np.sum(front / (1.0 + g)[:, None] * (1.0 + np.sin(3.0 * np.pi * front)), axis=1)
-        return np.column_stack([front, (1.0 + g) * h])
-    return evaluate
+def _maf2(X, m):
+    n, d = X.shape
+    chunk = max(1, (d - m + 1) // m)
+    g = np.empty((n, m))
+    for i in range(m):
+        start = (m - 1) + i * chunk
+        stop = (m - 1) + (i + 1) * chunk if i < m - 1 else d
+        part = X[:, start:stop] / 2.0 + 0.25
+        g[:, i] = np.sum((part - 0.5) ** 2, axis=1)
+    return (1.0 + g) * _sphere((X[:, : m - 1] / 2.0 + 0.25) * np.pi / 2.0)
 
 
-def _dtlz7(m, d):
-    return _make("dtlz7", m, d, "partial", _dtlz7_eval(m), _pf_dtlz7)
+def _maf6(X, m):
+    g = _g_sphere(X[:, m - 1:])
+    return (1.0 + 100.0 * g)[:, None] * _sphere(_dtlz5_theta(X[:, : m - 1], g))
 
 
-def _maf1(m, d):
-    def evaluate(X):
-        g = _g_sphere(X[:, m - 1:])
-        return (1.0 + g)[:, None] * (1.0 - _simplex_embed(X[:, : m - 1]))
-    return _make("maf1", m, d, "partial", evaluate, _pf_inverted_linear)
-
-
-def _maf2(m, d):
-    def evaluate(X):
-        n = len(X)
-        k = d - m + 1
-        chunk = max(1, k // m)
-        g = np.empty((n, m))
-        for i in range(m):
-            start = (m - 1) + i * chunk
-            stop = (m - 1) + (i + 1) * chunk if i < m - 1 else d
-            part = X[:, start:stop] / 2.0 + 0.25
-            g[:, i] = np.sum((part - 0.5) ** 2, axis=1)
-        theta = (X[:, : m - 1] / 2.0 + 0.25) * np.pi / 2.0
-        return (1.0 + g) * _hypersphere(theta)
-    return _make("maf2", m, d, "partial", evaluate, _pf_sphere_patch)
-
-
-def _maf6(m, d):
-    def evaluate(X):
-        g = _g_sphere(X[:, m - 1:])
-        pos = X[:, : m - 1].copy()
-        if m > 2:
-            gg = g[:, None]
-            pos[:, 1:] = (1.0 + 2.0 * gg * pos[:, 1:]) / (2.0 + 2.0 * gg)
-        return (1.0 + 100.0 * g)[:, None] * _hypersphere(pos * np.pi / 2.0)
-    return _make("maf6", m, d, "partial", evaluate, _pf_degenerate_curve)
-
-
-def _maf7(m, d):
-    return _make("maf7", m, d, "partial", _dtlz7_eval(m), _pf_dtlz7)
-
-
-# conventional distance-variable counts
-_FACTORIES: dict[str, tuple[Callable, int]] = {
-    "dtlz1": (_dtlz1, 5),
-    "dtlz2": (_dtlz2, 10),
-    "dtlz3": (_dtlz3, 10),
-    "dtlz4": (_dtlz4, 10),
-    "dtlz5": (_dtlz5, 10),
-    "dtlz6": (_dtlz6, 10),
-    "dtlz7": (_dtlz7, 20),
-    "maf1": (_maf1, 10),
-    "maf2": (_maf2, 10),
-    "maf6": (_maf6, 10),
-    "maf7": (_maf7, 20),
+# name -> (objectives, front sampler, conventional distance-variable count k)
+_PROBLEMS: dict[str, tuple[Callable, Callable, int]] = {
+    "dtlz1": (_dtlz1, _pf_linear, 5),
+    "dtlz2": (_dtlz2, _pf_sphere, 10),
+    "dtlz3": (_dtlz3, _pf_sphere, 10),
+    "dtlz4": (_dtlz4, _pf_sphere, 10),
+    "dtlz5": (_dtlz5, _pf_degenerate_curve, 10),
+    "dtlz6": (_dtlz6, _pf_degenerate_curve, 10),
+    "dtlz7": (_dtlz7, _pf_dtlz7, 20),
+    "maf1": (_maf1, _pf_inverted_linear, 10),
+    "maf2": (_maf2, _pf_sphere_patch, 10),
+    "maf6": (_maf6, _pf_degenerate_curve, 10),
+    "maf7": (_dtlz7, _pf_dtlz7, 20),
 }
 
 
 def available_problems() -> list[str]:
-    return sorted(_FACTORIES)
+    return sorted(_PROBLEMS)
 
 
 def make_problem(name: str, m: int, d: int | None = None) -> ProblemSpec:
     """Look up a benchmark problem by name, with D = M + k - 1 by default."""
     key = name.lower()
-    if key not in _FACTORIES:
+    if key not in _PROBLEMS:
         raise KeyError(f"unknown problem {name!r}; available: {', '.join(available_problems())}")
     if m < 2:
         raise ValueError("need at least two objectives")
-    factory, k = _FACTORIES[key]
+    objectives, sampler, k = _PROBLEMS[key]
     d = m + k - 1 if d is None else d
     if d < m:
         raise ValueError(f"{name} needs at least {m} variables (one per position axis)")
-    return factory(m, d)
+    # every problem here lives in the unit box [0, 1]^d
+    return ProblemSpec(key, m, d, np.zeros(d), np.ones(d), objectives, sampler)

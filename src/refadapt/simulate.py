@@ -371,7 +371,7 @@ class PermutationReport:
                 mat = self.matrices[name]
                 for i in range(len(mat)):
                     for j in range(len(mat)):
-                        fh.write(f"{name},{i},{j},{mat[i, j]!r}\n")
+                        fh.write(f"{name},{i},{j},{float(mat[i, j])!r}\n")
 
 
 def permutation_similarity(

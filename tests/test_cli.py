@@ -292,17 +292,17 @@ SIMULATE_PINNED = {
     ("plain", 96): ("d4cef85dcfe91533354573b3559b7f86a0471bbf1ce4fa64d3a50b278f7037ad", None),
     ("plain", 384): ("babcdecb34098a9632bab679edf83d4d1f4a1550a707c27605a21ac4e9e677d5", None),
     ("permutations", 24): ("9c0d8367d223cb349a847c5f36bc75d5e24ddf3fb97e8e630c9bd6a83dedd29d",
-                           "d833f978ca8db916f0a1ed58072e642123f7dd5a85114c4fcf7628301d54848e"),
+                           "a7a5db555d492b4156b8809de175ae741bf8465ccfe72f4663938fe99c4236cb"),
     ("permutations", 96): ("7f7f547c3f52a1ab846d02d536940c1347b35501b6962d4a3f7f99902ea12445",
-                           "d833f978ca8db916f0a1ed58072e642123f7dd5a85114c4fcf7628301d54848e"),
+                           "a7a5db555d492b4156b8809de175ae741bf8465ccfe72f4663938fe99c4236cb"),
     ("permutations", 384): ("bbac499530ce81b006fed6da7b87261e7c51884b6ef5ec824b20def8d71a8719",
-                            "d833f978ca8db916f0a1ed58072e642123f7dd5a85114c4fcf7628301d54848e"),
+                            "a7a5db555d492b4156b8809de175ae741bf8465ccfe72f4663938fe99c4236cb"),
     ("carry_over", 24): ("eb5432456da90e008795b8302e24360280d04a6f0d7b5c15ae6e1b705c959de7",
-                         "d833f978ca8db916f0a1ed58072e642123f7dd5a85114c4fcf7628301d54848e"),
+                         "a7a5db555d492b4156b8809de175ae741bf8465ccfe72f4663938fe99c4236cb"),
     ("carry_over", 96): ("586bfa6b5801ad22cb411aa1c9cb15983a4210d63bed75e5957b6f2707536f7b",
-                         "d833f978ca8db916f0a1ed58072e642123f7dd5a85114c4fcf7628301d54848e"),
+                         "a7a5db555d492b4156b8809de175ae741bf8465ccfe72f4663938fe99c4236cb"),
     ("carry_over", 384): ("5e8b82adbe413ea4702401ecca2b1c43549571066bb4fd4434f35e3823740b0e",
-                          "0f7a17a164899d968751dc14a8738f21ddbc79c2d76f7de49bae564e2a98c043"),
+                          "bc6fba1037066d1220660a359659003a86fec4301656db84e849d918652f5a01"),
 }
 
 

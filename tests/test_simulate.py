@@ -552,6 +552,9 @@ class TestPermutations:
         lines = path.read_text().splitlines()
         assert lines[0] == "scenario,perm_i,perm_j,similarity_pct"
         assert len(lines) == 1 + 2 * 2 * 2
+        for line in lines[1:]:
+            name, i, j, pct = line.split(",")
+            assert float(pct) == report.matrices[name][int(i), int(j)]
 
 
 class TestBruteForceAgreement:
