@@ -15,20 +15,51 @@ def nondominated_split(objs) -> tuple[np.ndarray, np.ndarray]:
     """Split objective rows into (frontier, dominated) index arrays.
 
     The frontier holds every row that no other row dominates; duplicated
-    rows are all kept on the frontier. Both index arrays preserve the
+    rows are all kept on the frontier, and so is every row with a NaN,
+    which compares false with everything. Both index arrays preserve the
     input order.
+
+    Each of the other rows keeps two bitsets over the rows, of ceil(n / 64)
+    uint64 words each: the rows no worse than it in every objective, and
+    the rows better than it in some objective. Row j is dominated when one
+    row is in both of its sets. One sort per objective ranks the rows; a
+    row is no worse than j exactly when it sorts before the end of j's tie
+    group, and better exactly when it sorts before the group's start, so
+    both sets come from the OR-prefixes of the rows' one-hot bitsets in
+    sorted order.
     """
     objs = np.asarray(objs, dtype=float)
     if objs.ndim != 2:
         raise ValueError("expected an (n, M) objective array")
-    # le[i, j]: row i is <= row j in every objective, built one column at
-    # a time; "row i is somewhere better than row j" is then exactly
-    # "not le[j, i]" (rows with NaN compare false either way)
-    le = np.ones((len(objs), len(objs)), dtype=bool)
-    for col in objs.T:
-        le &= col[:, None] <= col[None, :]
-    dominated = (le & ~le.T).any(axis=0)
     idx = np.arange(len(objs))
+    rows = idx[~np.isnan(objs).any(axis=1)]
+    kept = objs[rows]
+    n, m = kept.shape
+    order = np.argsort(kept, axis=0)
+    ordered = np.take_along_axis(kept, order, axis=0)
+    # each row's first and one-past-last sorted place of its tie group
+    starts = np.ones((n + 1, m), dtype=bool)
+    starts[1:n] = ordered[1:] != ordered[:-1]
+    places = np.arange(n + 1)[:, None]
+    first, stop = np.empty_like(order), np.empty_like(order)
+    np.put_along_axis(first, order, np.maximum.accumulate(
+        np.where(starts, places, 0), axis=0)[:-1], axis=0)
+    np.put_along_axis(stop, order, np.minimum.accumulate(
+        np.where(starts, places, n)[::-1], axis=0)[::-1][1:], axis=0)
+    word = order // 64
+    bit = np.left_shift(np.uint64(1), (order % 64).astype(np.uint64))
+    # prefix[p]: the rows at sorted places before p
+    prefix = np.empty((n + 1, -(-n // 64)), dtype=np.uint64)
+    no_worse = np.full((n, prefix.shape[1]), ~np.uint64(0))
+    better = np.zeros_like(no_worse)
+    for j in range(m):
+        prefix.fill(0)
+        prefix[places[1:, 0], word[:, j]] = bit[:, j]
+        np.bitwise_or.accumulate(prefix, axis=0, out=prefix)
+        no_worse &= prefix[stop[:, j]]
+        better |= prefix[first[:, j]]
+    dominated = np.zeros(len(objs), dtype=bool)
+    dominated[rows] = (no_worse & better).any(axis=1)
     return idx[~dominated], idx[dominated]
 
 

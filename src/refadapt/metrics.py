@@ -36,14 +36,8 @@ def igd(pf_samples, population):
         raise ValueError("igd needs nonempty sample and population sets")
     if not (np.isfinite(S).all() and np.isfinite(P).all()):
         raise ValueError("igd needs finite samples and population members")
-    tiles = _tiles(S, np.arange(len(S)))
-    order = np.concatenate(tiles)
-    sizes = np.array([len(t) for t in tiles])
-    cuts = np.r_[0, np.cumsum(sizes)]
+    order, cuts, centres, radii = _tiling(S, IGD_TILE)
     S_tiled = S[order]
-    centres = np.add.reduceat(S_tiled, cuts[:-1]) / sizes[:, None]
-    radii = np.maximum.reduceat(
-        np.linalg.norm(S_tiled - np.repeat(centres, sizes, axis=0), axis=1), cuts[:-1])
     m, n = P.shape[2], P.shape[1]
     # see _tile_minima for the margin
     rel = 8 * (m + 4) * np.finfo(float).eps
@@ -58,8 +52,8 @@ def igd(pf_samples, population):
         group = P[start:start + IGD_GROUP]
         rows, members = np.unique(group.reshape(-1, m), axis=0, return_inverse=True)
         members = members.reshape(len(group), -1)
-        for first in range(0, len(sizes), step):
-            last = min(first + step, len(sizes))
+        for first in range(0, len(centres), step):
+            last = min(first + step, len(centres))
             _tile_minima(rows, members, S_tiled, cuts[first:last + 1], centres[first:last],
                          radii[first:last], rel, slack, minima[:len(group)])
         # sqrt is monotone and correctly rounded, so taking it after the
@@ -70,18 +64,51 @@ def igd(pf_samples, population):
     return values if stacked else float(values[0])
 
 
-def _tiles(S, idx):
-    """Index arrays of at most ``IGD_TILE`` samples each, covering ``idx``.
+# The last sample set's tiles, keyed by its shape, the tile size and a
+# digest of its bytes: runs and rounds measure against the same front
+# again and again. The digest, not the bytes, is kept, and so are the
+# tiles' indices and bounds, not the reordered samples.
+_last_tiling: dict = {}
+
+
+def _tiling(S, tile):
+    """Read-only (order, cuts, centres, radii) of the tiles of at most
+    ``tile`` samples that split the (n, M) samples ``S``.
+
+    Tile t holds the samples ``S[order[cuts[t]:cuts[t + 1]]]``, all within
+    ``radii[t]`` of ``centres[t]``.
+    """
+    import hashlib        # loads OpenSSL: kept out of the package import
+
+    key = (S.shape, tile, hashlib.sha256(np.ascontiguousarray(S)).digest())
+    if key not in _last_tiling:
+        tiles = _tiles(S, np.arange(len(S)), tile)
+        order = np.concatenate(tiles)
+        sizes = np.array([len(t) for t in tiles])
+        cuts = np.r_[0, np.cumsum(sizes)]
+        S_tiled = S[order]
+        centres = np.add.reduceat(S_tiled, cuts[:-1]) / sizes[:, None]
+        radii = np.maximum.reduceat(
+            np.linalg.norm(S_tiled - np.repeat(centres, sizes, axis=0), axis=1), cuts[:-1])
+        for a in (order, cuts, centres, radii):
+            a.flags.writeable = False
+        _last_tiling.clear()
+        _last_tiling[key] = (order, cuts, centres, radii)
+    return _last_tiling[key]
+
+
+def _tiles(S, idx, tile):
+    """Index arrays of at most ``tile`` samples each, covering ``idx``.
 
     A set too large for one tile is split at its median along the axis of
     its widest extent, and each half is split again as needed.
     """
-    if len(idx) <= IGD_TILE:
+    if len(idx) <= tile:
         return [idx]
     pts = S[idx]
     half = len(idx) // 2
     idx = idx[np.argpartition(pts[:, np.ptp(pts, axis=0).argmax()], half)]
-    return _tiles(S, idx[:half]) + _tiles(S, idx[half:])
+    return _tiles(S, idx[:half], tile) + _tiles(S, idx[half:], tile)
 
 
 def _tile_minima(rows, members, S, cuts, centres, radii, rel, slack, out):

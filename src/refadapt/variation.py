@@ -48,11 +48,15 @@ def sbx(p1, p2, params: VariationParams, lower, upper, rng) -> tuple[np.ndarray,
     p1 = np.asarray(p1, dtype=float)
     p2 = np.asarray(p2, dtype=float)
     d = p1.shape[-1]
-    # a pair that does not cross keeps u = 0.5: mask off, beta = 1
-    draws = np.full(p1.shape[:-1] + (2 * d,), 0.5)
-    for row in draws.reshape(-1, 2 * d):
-        if rng.random() < params.p_c:
-            row[:] = rng.random(2 * d)
+    if params.p_c >= 1.0:
+        # every gate passes: the stream is gate, 2D values, gate, 2D values...
+        draws = rng.random(p1.shape[:-1] + (2 * d + 1,))[..., 1:]
+    else:
+        # a pair that does not cross keeps u = 0.5: mask off, beta = 1
+        draws = np.full(p1.shape[:-1] + (2 * d,), 0.5)
+        for row in draws.reshape(-1, 2 * d):
+            if rng.random() < params.p_c:
+                row[:] = rng.random(2 * d)
     apply_mask = draws[..., :d] < 0.5
     u = draws[..., d:]
     beta = np.where(

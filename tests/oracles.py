@@ -42,6 +42,23 @@ def nondominated_split_oracle(objs):
     return idx[~dominated], idx[dominated]
 
 
+def nondominated_split_columns_oracle(objs):
+    """The split as one (n, n) mask built one objective column at a time;
+    returns (frontier, dominated) index arrays."""
+    objs = np.asarray(objs, dtype=float)
+    if objs.ndim != 2:
+        raise ValueError("expected an (n, M) objective array")
+    # le[i, j]: row i is <= row j in every objective, built one column at
+    # a time; "row i is somewhere better than row j" is then exactly
+    # "not le[j, i]" (rows with NaN compare false either way)
+    le = np.ones((len(objs), len(objs)), dtype=bool)
+    for col in objs.T:
+        le &= col[:, None] <= col[None, :]
+    dominated = (le & ~le.T).any(axis=0)
+    idx = np.arange(len(objs))
+    return idx[~dominated], idx[dominated]
+
+
 # ---------------------------------------------------------------------------
 # angles / association
 

@@ -13,8 +13,18 @@ from oracles import (
     associate_oracle,
     dominates_oracle,
     frontier_split_oracle,
+    nondominated_split_columns_oracle,
     nondominated_split_oracle,
 )
+
+
+def assert_split_matches_oracles(pool):
+    """The split equals both vectorised oracles: same indices, same dtype."""
+    got = nondominated_split(pool)
+    for oracle in (nondominated_split_oracle, nondominated_split_columns_oracle):
+        for g, w in zip(got, oracle(pool)):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+    return got
 
 
 def dominates(a, b) -> bool:
@@ -234,6 +244,57 @@ class TestNondominatedSplit:
             want = nondominated_split_oracle(pool)
             for g, w in zip(got, want):
                 assert g.dtype == w.dtype and np.array_equal(g, w), (t, n, m)
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 127, 128, 129, 1600])
+    def test_pool_sizes_at_word_boundaries(self, n):
+        # each row's bitsets take ceil(n / 64) words; rounded pools tie
+        rng = np.random.default_rng(n)
+        for m in (1, 2, 3, 5):
+            pool = rng.uniform(0, 4, (n, m))
+            assert_split_matches_oracles(pool)
+            assert_split_matches_oracles(np.round(pool))
+
+    def test_nan_rows_stay_on_the_front(self):
+        nan = np.nan
+        pool = np.array([
+            [1.0, 1.0], [nan, nan], [nan, 0.0], [2.0, nan], [3.0, 3.0],
+            [nan, 1.0], [0.5, 2.0], [nan, nan],
+        ])
+        front, rest = assert_split_matches_oracles(pool)
+        assert front.tolist() == [0, 1, 2, 3, 5, 6, 7] and rest.tolist() == [4]
+        rng = np.random.default_rng(3)
+        for m in (1, 2, 4):
+            pool = np.round(rng.uniform(0, 3, (200, m)))
+            pool[rng.random((200, m)) < 0.05] = nan
+            pool[rng.integers(0, 200, 5)] = nan
+            assert_split_matches_oracles(pool)
+
+    def test_infinities_and_signed_zeros(self):
+        inf = np.inf
+        pool = np.array([
+            [0.0, 1.0], [-0.0, 1.0], [0.0, 2.0], [-inf, inf], [-inf, 5.0],
+            [inf, -inf], [inf, -inf], [1.0, -0.0], [1.0, 0.0], [2.0, 0.0],
+        ])
+        front, rest = assert_split_matches_oracles(pool)
+        assert front.tolist() == [0, 1, 4, 5, 6, 7, 8] and rest.tolist() == [2, 3, 9]
+        rng = np.random.default_rng(4)
+        pool = rng.choice([-inf, -1.0, -0.0, 0.0, 1.0, inf], size=(150, 3))
+        assert_split_matches_oracles(pool)
+
+    @pytest.mark.parametrize("n", [1, 64, 65, 200])
+    def test_all_equal_pools_are_all_front(self, n):
+        signed_zeros = np.where(np.arange(n)[:, None] % 2, 0.0, -0.0) * np.ones(4)
+        for pool in (np.full((n, 3), 2.5), signed_zeros):
+            front, rest = assert_split_matches_oracles(pool)
+            assert front.tolist() == list(range(n)) and rest.size == 0
+
+    @pytest.mark.parametrize("n", [0, 1, 64, 130])
+    def test_zero_and_one_objective(self, n):
+        front, rest = assert_split_matches_oracles(np.empty((n, 0)))
+        assert front.tolist() == list(range(n)) and rest.size == 0
+        col = np.random.default_rng(n).integers(0, 5, (n, 1)).astype(float)
+        front, rest = assert_split_matches_oracles(col)
+        assert front.tolist() == np.flatnonzero(col[:, 0] == col.min(initial=np.inf)).tolist()
 
     def test_partition_properties(self):
         rng = np.random.default_rng(6)

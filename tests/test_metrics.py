@@ -113,6 +113,30 @@ class TestIgdStack:
         P = rng.uniform(0, 1, (18, 30, 3))   # 480 distinct rows a group, one tile a chunk
         _assert_stack_matches_oracle(rng.uniform(0, 1, (23, 3)), P)
 
+    def test_tiles_kept_for_the_last_sample_set(self, monkeypatch):
+        built = []
+        tiles = metrics_mod._tiles
+
+        def counting(S, idx, tile):
+            if len(idx) == len(S):               # not the recursive calls
+                built.append(tile)
+            return tiles(S, idx, tile)
+
+        monkeypatch.setattr(metrics_mod, "_tiles", counting)
+        monkeypatch.setattr(metrics_mod, "_last_tiling", {})
+        rng = np.random.default_rng(19)
+        S, other = rng.uniform(0, 1, (2, 700, 3))
+        P = _run_like_stack(rng, 5, 20, 3)
+        miss = igd(S, P)
+        hit = igd(S.copy(), P)                   # equal samples in a new array
+        assert built == [128] and np.array_equal(hit, miss)
+        _assert_stack_matches_oracle(S, P)
+        _assert_stack_matches_oracle(other, P)   # same shape, other values
+        monkeypatch.setattr(metrics_mod, "IGD_TILE", 64)
+        _assert_stack_matches_oracle(other, P)
+        assert built == [128, 128, 64] and len(metrics_mod._last_tiling) == 1
+        assert not any(a.flags.writeable for a in metrics_mod._tiling(other, 64))
+
     def test_two_dimensional_input_gives_a_float(self):
         rng = np.random.default_rng(2)
         S, P = rng.uniform(0, 1, (50, 3)), rng.uniform(0, 1, (8, 3))
@@ -313,6 +337,11 @@ def test_import_leaves_scipy_out():
     # scipy.spatial and scipy.special are most of the package's import time;
     # only selection, IGD and the multi-seed interval read them
     assert not loads("import sys, refadapt, refadapt.cli", "scipy")
+
+
+def test_import_leaves_hashlib_out():
+    # hashlib loads OpenSSL, about 10 ms; only the IGD tile memo reads it
+    assert not loads("import sys, refadapt, refadapt.cli", "hashlib")
 
 
 def test_scenario_run_leaves_scipy_out():

@@ -190,3 +190,21 @@ class TestOffspring:
             assert lib.tolist() == ora
             # the same number of draws was taken from every stream
             assert [r.random() for r in lib_rngs] == [r.random() for r in ora_rngs]
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_full_crossover_matches_oracle_on_a_scripted_stream(self, d):
+        # p_c = 1 takes the whole crossover stream as one block; the scripted
+        # gates (0.99) and values differ, so a block cut in the wrong place
+        # changes the children; count 5 is an odd number of children
+        pop = np.random.default_rng(d).uniform(0, 1, (8, d))
+        lower, upper = np.zeros(d), np.ones(d)
+        params = VariationParams(eta_c=15.0, eta_m=20.0, p_c=1.0)
+        stream = np.random.default_rng(7).random(3 * (2 * d + 1) + 2).tolist()
+        stream[::2 * d + 1] = [0.99] * len(stream[::2 * d + 1])
+        lib_rngs = [np.random.default_rng(1), _FixedRng(stream), np.random.default_rng(2)]
+        ora_rngs = [np.random.default_rng(1), _FixedRng(stream), np.random.default_rng(2)]
+        lib = make_offspring(pop, 5, params, lower, upper, *lib_rngs)
+        ora = make_offspring_oracle(pop, 5, 15.0, 20.0, 1.0, None, lower, upper, *ora_rngs)
+        assert lib.tolist() == ora
+        # both took the three pairs' draws and left the same two
+        assert lib_rngs[1]._stream == ora_rngs[1]._stream == stream[-2:]
