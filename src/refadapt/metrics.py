@@ -19,13 +19,14 @@ def igd(pf_samples, population):
     lower it. An (n, M) population gives a float; a (T, n, M) stack gives
     the (T,) values of its populations. Samples and members must be finite.
 
-    The samples are split into tiles of at most ``IGD_TILE`` nearby samples.
-    Consecutive populations of a run share many members, so each group of
-    ``IGD_GROUP`` populations measures its distinct rows once per tile, and
-    only the rows that some population of the group may have nearest to a
-    sample of the tile (see :func:`_tile_minima`). Each kept distance is the
-    one ``cdist`` gives for the pair, and the minima are averaged in sample
-    order, so the values are bit for bit those of the full distance matrix.
+    The samples are split into compact tiles of at most ``IGD_TILE``
+    samples each (see :func:`_tiling`). Consecutive populations of a run
+    share many members, so each group of ``IGD_GROUP`` populations measures
+    its distinct rows once per tile, and only the rows that some population
+    of the group may have nearest to a sample of the tile (see
+    :func:`_tile_minima`). Each kept distance is the one ``cdist`` gives for
+    the pair, and the minima are averaged in sample order, so the values are
+    bit for bit those of the full distance matrix, whatever the tiles.
     """
     S = np.atleast_2d(np.asarray(pf_samples, dtype=float))
     P = np.asarray(population, dtype=float)
@@ -50,7 +51,7 @@ def igd(pf_samples, population):
     row = np.empty(len(S))
     for start in range(0, len(P), IGD_GROUP):
         group = P[start:start + IGD_GROUP]
-        rows, members = np.unique(group.reshape(-1, m), axis=0, return_inverse=True)
+        rows, members = _distinct_rows(group.reshape(-1, m))
         members = members.reshape(len(group), -1)
         for first in range(0, len(centres), step):
             last = min(first + step, len(centres))
@@ -76,13 +77,17 @@ def _tiling(S, tile):
     ``tile`` samples that split the (n, M) samples ``S``.
 
     Tile t holds the samples ``S[order[cuts[t]:cuts[t + 1]]]``, all within
-    ``radii[t]`` of ``centres[t]``.
+    ``radii[t]`` of ``centres[t]``, their mean. The tiles are the Voronoi
+    cells of the means of median-split tiles (:func:`_voronoi_tiles`). The
+    pruning needs only that each tile's samples lie within its radius of
+    its centre, so the partition decides which pairs are measured, never
+    the minima; smaller radii prune more members.
     """
     import hashlib        # loads OpenSSL: kept out of the package import
 
     key = (S.shape, tile, hashlib.sha256(np.ascontiguousarray(S)).digest())
     if key not in _last_tiling:
-        tiles = _tiles(S, np.arange(len(S)), tile)
+        tiles = _voronoi_tiles(S, tile)
         order = np.concatenate(tiles)
         sizes = np.array([len(t) for t in tiles])
         cuts = np.r_[0, np.cumsum(sizes)]
@@ -97,6 +102,33 @@ def _tiling(S, tile):
     return _last_tiling[key]
 
 
+def _voronoi_tiles(S, tile):
+    """Index arrays of at most ``tile`` samples each, covering ``S``.
+
+    The median-split tiles of :func:`_tiles` are long and thin at many
+    objectives, so one Lloyd step makes them compact: each sample joins
+    the tile whose mean is nearest, the argmax over tiles of
+    s.c - |c|^2 / 2, and a cluster larger than ``tile`` is split again by
+    :func:`_tiles`. Empty clusters are dropped.
+    """
+    tiles = _tiles(S, np.arange(len(S)), tile)
+    if len(tiles) == 1:
+        return tiles
+    sizes = np.array([len(t) for t in tiles])
+    means = np.add.reduceat(S[np.concatenate(tiles)], np.r_[0, np.cumsum(sizes[:-1])])
+    means /= sizes[:, None]
+    half_norms = 0.5 * np.einsum("ij,ij->i", means, means)
+    nearest = np.empty(len(S), dtype=np.intp)
+    block = max(1, 2**17 // len(means))     # a float temporary of 1 MiB
+    for lo in range(0, len(S), block):
+        score = S[lo:lo + block] @ means.T
+        score -= half_norms                  # in place: a fresh 1 MiB array tripled the time
+        score.argmax(axis=1, out=nearest[lo:lo + block])
+    clusters = np.split(np.argsort(nearest, kind="stable"),
+                        np.cumsum(np.bincount(nearest, minlength=len(means)))[:-1])
+    return [t for c in clusters if len(c) for t in _tiles(S, c, tile)]
+
+
 def _tiles(S, idx, tile):
     """Index arrays of at most ``tile`` samples each, covering ``idx``.
 
@@ -109,6 +141,23 @@ def _tiles(S, idx, tile):
     half = len(idx) // 2
     idx = idx[np.argpartition(pts[:, np.ptp(pts, axis=0).argmax()], half)]
     return _tiles(S, idx[:half], tile) + _tiles(S, idx[half:], tile)
+
+
+def _distinct_rows(flat):
+    """(rows, inverse) of an (n, M) array: its distinct rows in
+    lexicographic order, and the place of each of its rows among them.
+
+    One lexsort over the columns brings equal rows together; a row starts
+    a new distinct row where it differs from its sorted predecessor.
+    """
+    sort = np.lexsort(flat.T[::-1])
+    flat = flat[sort]
+    new = np.empty(len(flat), dtype=bool)
+    new[0] = True
+    (flat[1:] != flat[:-1]).any(axis=1, out=new[1:])
+    inverse = np.empty(len(flat), dtype=np.intp)
+    inverse[sort] = np.cumsum(new) - 1
+    return flat[new], inverse
 
 
 def _tile_minima(rows, members, S, cuts, centres, radii, rel, slack, out):

@@ -71,6 +71,9 @@ def simplex_lattice(m: int, h: int) -> np.ndarray:
     return upper - lower - 1
 
 
+# a permutation study sizes every scenario run's archive from the same
+# few (M, N)
+@functools.lru_cache(maxsize=64)
 def initial_density(m: int, n: int) -> int:
     """Smallest density H whose lattice holds at least ``n`` points."""
     if m < 2:
@@ -155,9 +158,10 @@ class ReferenceArchive:
         """(density, coords, enabled) of each live layer, base first: views
         of the stack split at the layer ends."""
         densities = [self.base_h << k for k in range((self.top_h // self.base_h).bit_length())]
-        ends = [lattice_size(self.m, h) for h in densities[:-1]]
+        ends = [lattice_size(self.m, h) for h in densities]
         coords = _stack(self.m, self.base_h, self.top_h)[0]
-        return list(zip(densities, np.split(coords, ends), np.split(self.enabled, ends)))
+        return [(h, coords[start:end], self.enabled[start:end])
+                for h, start, end in zip(densities, [0] + ends[:-1], ends)]
 
     def to_json_dict(self) -> dict:
         """Debug dump of the live layers: {M, layers: [{H, coords, enabled}]}."""

@@ -115,14 +115,13 @@ class TestIgdStack:
 
     def test_tiles_kept_for_the_last_sample_set(self, monkeypatch):
         built = []
-        tiles = metrics_mod._tiles
+        tiles = metrics_mod._voronoi_tiles
 
-        def counting(S, idx, tile):
-            if len(idx) == len(S):               # not the recursive calls
-                built.append(tile)
-            return tiles(S, idx, tile)
+        def counting(S, tile):                   # one call per tiling build
+            built.append(tile)
+            return tiles(S, tile)
 
-        monkeypatch.setattr(metrics_mod, "_tiles", counting)
+        monkeypatch.setattr(metrics_mod, "_voronoi_tiles", counting)
         monkeypatch.setattr(metrics_mod, "_last_tiling", {})
         rng = np.random.default_rng(19)
         S, other = rng.uniform(0, 1, (2, 700, 3))
@@ -164,6 +163,59 @@ class TestIgdStack:
             igd(S, P)
         with pytest.raises(ValueError, match="finite"):
             igd(S, P[1])
+
+
+def _tiling_inputs(kind, rng):
+    """Sample sets that stress the tiling: equal, collinear and clustered
+    samples, and fewer samples than one tile."""
+    if kind == "identical":
+        return np.full((300, 3), 0.3)
+    if kind == "collinear":
+        return 0.25 + rng.uniform(0, 1, (500, 1)) * np.array([1.0, 2.0, 3.0])
+    if kind == "under_one_tile":
+        return rng.uniform(0, 1, (50, 3))
+    # 200 copies of one point, then 56 samples beyond it on the widest axis:
+    # the first median tile is 128 copies, whose mean is the point itself, so
+    # the Lloyd step gathers all 200 copies, a cluster over the tile size
+    return np.vstack([np.full((200, 3), 0.5), rng.uniform(1, 2, (56, 3))])
+
+
+class TestIgdTiling:
+    """The tiles of metrics._tiling: one Lloyd step on median-split tiles."""
+
+    @pytest.mark.parametrize("tile", [8, 128])
+    def test_tiles_partition_the_samples_within_their_radii(self, tile):
+        rng = np.random.default_rng(tile)
+        shell = rng.uniform(0, 1, (3000, 5))
+        shell /= np.linalg.norm(shell, axis=1, keepdims=True)
+        sets = [shell, rng.uniform(0, 1, (1000, 3))]
+        sets += [_tiling_inputs(kind, rng) for kind in
+                 ("identical", "collinear", "under_one_tile", "cluster_over_a_tile")]
+        for S in sets:
+            order, cuts, centres, radii = metrics_mod._tiling(S, tile)
+            sizes = np.diff(cuts)
+            assert np.array_equal(np.sort(order), np.arange(len(S)))   # each sample once
+            assert cuts[0] == 0 and cuts[-1] == len(S)
+            assert sizes.min() >= 1 and sizes.max() <= tile
+            for t in range(len(sizes)):
+                members = S[order[cuts[t]:cuts[t + 1]]]
+                assert np.linalg.norm(members - centres[t], axis=1).max() <= radii[t]
+
+    @pytest.mark.parametrize("kind", ["identical", "collinear", "under_one_tile",
+                                      "cluster_over_a_tile"])
+    def test_bit_equal_to_oracle(self, kind):
+        rng = np.random.default_rng(29)
+        S = _tiling_inputs(kind, rng)
+        P = _run_like_stack(rng, 20, 12, 3)
+        P[::3, 0] = S[0]                         # members on a sample
+        _assert_stack_matches_oracle(S, P)
+
+    def test_oversized_cluster_is_split(self):
+        S = _tiling_inputs("cluster_over_a_tile", np.random.default_rng(29))
+        order, cuts, _, _ = metrics_mod._tiling(S, 128)
+        pure = [np.all(S[order[a:b]] == 0.5) for a, b in zip(cuts[:-1], cuts[1:])]
+        # median splits alone give one tile of copies and one mixed tile
+        assert len(pure) == 3 and sum(pure) == 2
 
 
 class TestIgdTilePruning:
@@ -238,9 +290,17 @@ class TestIgdTilePruning:
         rng = np.random.default_rng(17)
         S = rng.uniform(0, 1, (2000, 2))
         P = _run_like_stack(rng, 16, 40, 2)
-        _assert_stack_matches_oracle(S, P)
-        rows = len(np.unique(P.reshape(-1, 2), axis=0))
-        assert pairs and sum(pairs) < 0.5 * rows * len(S)
+        # five objectives: a front-like shell in tiles of about 78 samples, as
+        # for 10 000 samples, and populations from a pool just outside it.
+        # Measured: 0.683 of the pairs, and 0.739 with median-split tiles alone
+        shell = np.abs(rng.normal(size=(5252, 5)))
+        shell /= np.linalg.norm(shell, axis=1, keepdims=True)
+        stack = 1.05 * shell[5000:][rng.integers(0, 252, (16, 126))]
+        for S, P, bound in [(S, P, 0.5), (shell[:5000], stack, 0.71)]:
+            pairs.clear()
+            _assert_stack_matches_oracle(S, P)
+            rows = len(np.unique(P.reshape(-1, P.shape[2]), axis=0))
+            assert pairs and sum(pairs) < bound * rows * len(S)
 
 
 class TestTrajectory:
