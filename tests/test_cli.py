@@ -307,11 +307,15 @@ SIMULATE_PINNED = {
 
 
 @pytest.mark.parametrize("form, n", SIMULATE_PINNED)
-def test_simulate_outputs_pinned(tmp_path, form, n):
-    assert main(["simulate", "--scenarios", str(SCENARIOS), "--n", str(n),
-                 *SIMULATE_FORMS[form], "--out", str(tmp_path)]) == 0
+def test_simulate_outputs_pinned(tmp_path, capsys, form, n):
+    args = ["simulate", "--scenarios", str(SCENARIOS), "--n", str(n), *SIMULATE_FORMS[form]]
+    assert main([*args, "--out", str(tmp_path)]) == 0
     got = tuple(
         hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else None
         for path in (tmp_path / "report.json", tmp_path / "similarity_matrix.csv")
     )
     assert got == SIMULATE_PINNED[form, n]
+    # without --out the same report, final newline included, goes to stdout
+    capsys.readouterr()
+    assert main(args) == 0
+    assert capsys.readouterr().out.encode() == (tmp_path / "report.json").read_bytes()

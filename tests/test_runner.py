@@ -294,6 +294,19 @@ class TestExperiment:
         assert header == "eval_count,mean,lower,upper"
         reread = json.loads((out / "summary.json").read_text())
         assert reread == s
+        # byte for byte: int counts, shortest round-trip floats, no final newline in JSON
+        traj = result.trajectory
+        assert (out / "trajectory.csv").read_bytes() == (
+            "eval_count,mean,lower,upper\n" + "".join(
+                f"{int(t)},{float(m)!r},{float(lo)!r},{float(up)!r}\n"
+                for t, m, lo, up in zip(traj.sample_times, traj.mean, traj.lower, traj.upper))
+        ).encode()
+        for rec in result.records:
+            assert (out / f"seed_{rec.seed}" / "igd.csv").read_bytes() == (
+                "eval_count,igd\n" + "".join(
+                    f"{int(t)},{float(v)!r}\n" for t, v in zip(rec.sample_times, rec.igd_values))
+            ).encode()
+        assert (out / "summary.json").read_bytes() == json.dumps(s, indent=2, sort_keys=True).encode()
 
     def test_trajectory_matches_recorded_igd(self):
         cfg = RunConfig(problem="dtlz2", seeds=(4,), **SMALL)
@@ -320,3 +333,7 @@ class TestExperiment:
         assert flagged["status"] == "aborted"
         assert flagged["failed_seed"] == 2
         assert flagged["completed_seeds"] == [1]
+        assert (out / "summary.json").read_bytes() == json.dumps(
+            {"status": "aborted", "problem": "dtlz2", "failed_seed": 2,
+             "completed_seeds": [1], "error": "synthetic failure"},
+            indent=2, sort_keys=True).encode()
