@@ -7,7 +7,6 @@ that set to follow the directional footprint of the tracked Pareto front.
 """
 
 from .adaptation import AdaptationEvent, AdaptationParams, adapt
-from .archive import maintain
 from .core import associate, nearest, nondominated_split, update_ideal
 from .metrics import Trajectory, confidence_trajectory, igd, stability
 from .problems import ProblemSpec, available_problems, make_problem
@@ -17,7 +16,7 @@ from .reference import (
     lattice_size,
     simplex_lattice,
 )
-from .runner import ConfigError, ExperimentResult, RunConfig, RunRecord, experiment, run
+from .runner import ConfigError, ExperimentResult, RunConfig, RunRecord, experiment, maintain, run
 from .selection import SelectionResult, cascade_cluster
 from .simulate import (
     ArcSegment,

@@ -10,7 +10,7 @@ the densest layer. The runner decides when an adaptation attempt is due.
 from __future__ import annotations
 
 import logging
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,9 +52,6 @@ class AdaptationEvent:
     active_before: int
     active_after: int
     participating_after: int
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def adapt(

@@ -15,8 +15,8 @@ from pathlib import Path
 
 from .adaptation import AdaptationParams
 from .reference import ReferenceArchive
-from .runner import ConfigError, RunConfig, experiment
-from .simulate import load_scenarios, permutation_similarity, run_scenario
+from .runner import ConfigError, RunConfig, experiment, render_json, write_csv
+from .simulate import PermutationReport, load_scenarios, permutation_similarity, run_scenario
 from .variation import VariationParams
 
 log = logging.getLogger(__name__)
@@ -81,8 +81,11 @@ def _build_config(args) -> RunConfig:
     """RunConfig from the config file, overridden by explicit flags."""
     opts = {}
     if args.config is not None:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            file_opts = json.load(fh)
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                file_opts = json.load(fh)
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file: {exc}") from exc
         if not isinstance(file_opts, dict):
             raise ConfigError("config file must hold a JSON object")
         unknown = set(file_opts) - set(_RUN_OPTIONS)
@@ -123,35 +126,44 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _similarity_table(perm: PermutationReport):
+    """Header and rows of similarity_matrix.csv: every ordered pair of orders per scenario."""
+    header = ("scenario", "perm_i", "perm_j", "similarity_pct")
+    return header, ((name, i, j, pct) for name in perm.scenario_names
+                    for i, row in enumerate(perm.matrices[name].tolist())
+                    for j, pct in enumerate(row))
+
+
 def _cmd_simulate(args) -> int:
-    scenarios = load_scenarios(args.scenarios)
+    try:
+        scenarios = load_scenarios(args.scenarios)
+    except OSError as exc:
+        raise ConfigError(f"cannot read scenario file: {exc}") from exc
     params = AdaptationParams(args.n, args.theta)
-    report: dict = {"n": args.n, "theta": params.theta, "scenarios": []}
-    for scenario in scenarios:
-        archive = ReferenceArchive.initialize(2, args.n)
-        outcome = run_scenario(scenario, archive, params)
-        report["scenarios"].append(outcome.to_dict())
+    report: dict = {"n": args.n, "theta": params.theta, "scenarios": [
+        run_scenario(scenario, ReferenceArchive.initialize(2, args.n), params)
+        for scenario in scenarios]}
     perm = None
     if args.permutations:
         if len(scenarios) < 2:
             raise ConfigError("permutation study needs at least two scenarios")
         perm = permutation_similarity(scenarios, params, carry_over=args.carry_over)
-        report["permutation_study"] = perm.to_dict()
-    text = json.dumps(report, indent=2, sort_keys=True)
+        report["permutation_study"] = perm
+    text = render_json(report, indent=2) + "\n"
     if not args.out:
-        print(text)
+        sys.stdout.write(text)
         return 0
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if perm is not None:
-        perm.write_matrix_csv(out / "similarity_matrix.csv")
-    (out / "report.json").write_text(text + "\n", encoding="utf-8")
+        write_csv(out / "similarity_matrix.csv", *_similarity_table(perm))
+    (out / "report.json").write_text(text, encoding="utf-8")
     print(f"report written to {out}")
     return 0
 
 
 def _cmd_lattice(args) -> int:
-    print(json.dumps(ReferenceArchive(args.m, args.h).to_json_dict(), indent=2, sort_keys=True))
+    print(render_json(ReferenceArchive(args.m, args.h).to_json_dict(), indent=2))
     return 0
 
 
@@ -201,7 +213,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (ConfigError, json.JSONDecodeError, KeyError, ValueError) as exc:
         log.error("configuration error: %s", exc)
         return 1
     except Exception as exc:  # noqa: BLE001 - boundary of the process

@@ -235,12 +235,6 @@ class Trajectory:
         if np.any(self.lower > self.mean) or np.any(self.mean > self.upper):
             raise ValueError("trajectory bounds must bracket the mean")
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("eval_count,mean,lower,upper\n")
-            for t, m, lo, up in zip(self.sample_times, self.mean, self.lower, self.upper):
-                fh.write(f"{int(t)},{float(m)!r},{float(lo)!r},{float(up)!r}\n")
-
 
 def confidence_trajectory(sample_times, igd_per_run, level: float = 0.95) -> Trajectory:
     """Aggregate per-run IGD curves into a confidence trajectory.

@@ -18,13 +18,12 @@ from __future__ import annotations
 import json
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .adaptation import AdaptationEvent, AdaptationParams, adapt
-from .archive import maintain
 from .core import update_ideal
 from .metrics import Trajectory, confidence_trajectory, igd, stability
 from .problems import ProblemSpec, available_problems, make_problem
@@ -91,6 +90,18 @@ class RunConfig:
 
     def adaptation_params(self) -> AdaptationParams:
         return AdaptationParams(self.n, self.theta)
+
+
+def maintain(solutions: np.ndarray, objectives: np.ndarray,
+             centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The individual archive after a selection pass: the pool rows of its centers.
+
+    The pass that produced the centers already saw the previous archive
+    members in its pool, so wholesale replacement keeps exactly the
+    survivors: at most one member per participating reference vector,
+    mutually nondominated by construction.
+    """
+    return solutions[centers], objectives[centers]
 
 
 @dataclass
@@ -206,39 +217,46 @@ class ExperimentResult:
     summary: dict
 
 
-def _objectives_csv(path: Path, objectives: np.ndarray) -> None:
-    m = objectives.shape[1]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(f"f{i + 1}" for i in range(m)) + "\n")
-        for row in objectives:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+def write_csv(path, header, rows) -> None:
+    """Write a header line, then one line per row of ``str`` cells.
+
+    Rows hold ``.tolist()`` values: ``str`` of a Python float is its
+    shortest round-trip ``repr``.
+    """
+    lines = [",".join(header), *(",".join(map(str, row)) for row in rows)]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _igd_csv(path: Path, record: RunRecord) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("eval_count,igd\n")
-        for t, v in zip(record.sample_times, record.igd_values):
-            fh.write(f"{int(t)},{float(v)!r}\n")
+def _plain(obj):
+    """The ``default=`` hook of :func:`render_json`."""
+    if is_dataclass(obj):
+        return asdict(obj)
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def _events_jsonl(path: Path, record: RunRecord) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for event in record.events:
-            fh.write(json.dumps(event.to_dict(), sort_keys=True) + "\n")
+def render_json(obj, indent: int | None = None) -> str:
+    """JSON text with sorted keys; dataclasses and numpy values become plain."""
+    return json.dumps(obj, indent=indent, sort_keys=True, default=_plain)
 
 
 def _write_outputs(out_dir: Path, result: ExperimentResult) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    result.trajectory.to_csv(out_dir / "trajectory.csv")
-    with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(result.summary, fh, indent=2, sort_keys=True)
+    traj = result.trajectory
+    write_csv(out_dir / "trajectory.csv", ("eval_count", "mean", "lower", "upper"),
+              zip(*(a.tolist() for a in (traj.sample_times, traj.mean, traj.lower, traj.upper))))
+    (out_dir / "summary.json").write_text(render_json(result.summary, indent=2), encoding="utf-8")
     for record in result.records:
         seed_dir = out_dir / f"seed_{record.seed}"
         seed_dir.mkdir(exist_ok=True)
-        _objectives_csv(seed_dir / "final_population.csv", record.final_objectives)
-        _objectives_csv(seed_dir / "individual_archive.csv", record.final_ia_objectives)
-        _igd_csv(seed_dir / "igd.csv", record)
-        _events_jsonl(seed_dir / "events.jsonl", record)
+        header = [f"f{i + 1}" for i in range(record.final_objectives.shape[1])]
+        write_csv(seed_dir / "final_population.csv", header, record.final_objectives.tolist())
+        write_csv(seed_dir / "individual_archive.csv", header, record.final_ia_objectives.tolist())
+        write_csv(seed_dir / "igd.csv", ("eval_count", "igd"),
+                  zip(record.sample_times.tolist(), record.igd_values.tolist()))
+        (seed_dir / "events.jsonl").write_text(
+            "".join(render_json(event) + "\n" for event in record.events), encoding="utf-8")
 
 
 def _flag_abort(out_dir: str | None, config: RunConfig, failed_seed: int,
@@ -247,17 +265,14 @@ def _flag_abort(out_dir: str | None, config: RunConfig, failed_seed: int,
         return
     path = Path(out_dir)
     path.mkdir(parents=True, exist_ok=True)
-    with open(path / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "status": "aborted",
-                "problem": config.problem,
-                "failed_seed": failed_seed,
-                "completed_seeds": completed,
-                "error": str(error),
-            },
-            fh, indent=2, sort_keys=True,
-        )
+    summary = {
+        "status": "aborted",
+        "problem": config.problem,
+        "failed_seed": failed_seed,
+        "completed_seeds": completed,
+        "error": str(error),
+    }
+    (path / "summary.json").write_text(render_json(summary, indent=2), encoding="utf-8")
 
 
 def experiment(config: RunConfig) -> ExperimentResult:
@@ -282,11 +297,8 @@ def experiment(config: RunConfig) -> ExperimentResult:
     trajectory = confidence_trajectory(records[0].sample_times, igd_matrix)
     finals = np.array([r.final_igd for r in records])
     event_counts = {
-        str(r.seed): {
-            "shrink": sum(1 for e in r.events if e.kind == "shrink"),
-            "expand": sum(1 for e in r.events if e.kind == "expand"),
-            "none": sum(1 for e in r.events if e.kind == "none"),
-        }
+        str(r.seed): {kind: sum(e.kind == kind for e in r.events)
+                      for kind in ("shrink", "expand", "none")}
         for r in records
     }
     summary = {
@@ -323,5 +335,8 @@ __all__ = [
     "ExperimentResult",
     "run",
     "experiment",
+    "maintain",
+    "write_csv",
+    "render_json",
     "available_problems",
 ]

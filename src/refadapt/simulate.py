@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -222,9 +222,6 @@ class ScenarioReport:
     enabled_layers: dict[str, list[bool]]   # str(h) keys: report.json sorts them as strings
     events: list[AdaptationEvent] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 # Distinct (points, directions) calls whose active sets ``active_set``
 # keeps; a study repeats 8-12 of them.
@@ -352,26 +349,6 @@ class PermutationReport:
     per_scenario_mean: dict[str, float]
     mean_similarity: float
     non_converged: int
-
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "scenario_names": self.scenario_names,
-            "permutations": [list(p) for p in self.permutations],
-            "matrices": {k: v.tolist() for k, v in self.matrices.items()},
-            "per_scenario_mean": self.per_scenario_mean,
-            "mean_similarity": self.mean_similarity,
-            "non_converged": self.non_converged,
-        }
-
-    def write_matrix_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("scenario,perm_i,perm_j,similarity_pct\n")
-            for name in self.scenario_names:
-                mat = self.matrices[name]
-                for i in range(len(mat)):
-                    for j in range(len(mat)):
-                        fh.write(f"{name},{i},{j},{float(mat[i, j])!r}\n")
 
 
 def permutation_similarity(

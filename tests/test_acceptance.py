@@ -19,9 +19,10 @@ import numpy as np
 import pytest
 
 from refadapt.adaptation import AdaptationParams
+from refadapt.cli import _similarity_table
 from refadapt.metrics import igd
 from refadapt.reference import ReferenceArchive, lattice_size, simplex_lattice
-from refadapt.runner import RunConfig, experiment
+from refadapt.runner import RunConfig, experiment, write_csv
 from refadapt.selection import cascade_cluster
 from refadapt.simulate import (
     default_scenarios,
@@ -138,11 +139,11 @@ def test_criterion_05_order_insensitivity(artifacts):
     scenarios = default_scenarios()
 
     reset = permutation_similarity(scenarios, params, carry_over=False)
-    reset.write_matrix_csv(artifacts / "similarity_reset.csv")
+    write_csv(artifacts / "similarity_reset.csv", *_similarity_table(reset))
     ok = all(np.all(mat == 100.0) for mat in reset.matrices.values())
 
     carry = permutation_similarity(scenarios, params, carry_over=True)
-    carry.write_matrix_csv(artifacts / "similarity_carry.csv")
+    write_csv(artifacts / "similarity_carry.csv", *_similarity_table(carry))
     ok &= carry.mean_similarity >= 95.0
 
     elapsed = time.perf_counter() - t0

@@ -169,9 +169,9 @@ class Testband:
         for active in ([0], [0, 0, 0, 0, 0]):
             arch = ReferenceArchive.initialize(2, 5)
             _, event = adapt(arch, active, AdaptationParams(5, 0.2))
-            events.append(event.to_dict())
+            events.append(event)
         assert events[0] == events[1]
-        assert events[1]["kind"] == "shrink" and events[1]["active_before"] == 1
+        assert events[1].kind == "shrink" and events[1].active_before == 1
 
 
 class TestExpand:

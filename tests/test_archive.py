@@ -1,9 +1,8 @@
 import numpy as np
 
-from refadapt.archive import maintain
 from refadapt.core import associate
 from refadapt.reference import ReferenceArchive
-from refadapt.runner import _objectives_csv
+from refadapt.runner import maintain, write_csv
 from refadapt.selection import cascade_cluster
 
 from oracles import dominates_oracle
@@ -61,5 +60,9 @@ def test_members_activate_distinct_vectors_across_generations():
 def test_csv_dump(tmp_path):
     _, ia_F = maintain(np.array([[0.5, 0.5]]), np.array([[1.25, 2.5]]), np.array([0]))
     path = tmp_path / "ia.csv"
-    _objectives_csv(path, ia_F)
+    write_csv(path, ["f1", "f2"], ia_F.tolist())
     assert path.read_text().splitlines() == ["f1,f2", "1.25,2.5"]
+    # cells whose str and repr could differ: shortest round-trip floats, plain ints
+    write_csv(path, ["a", "b", "c", "d", "e"],
+              [[np.float64(0.1) + 0.2, 1e-300, -0.0, np.inf, np.int64(7)]])
+    assert path.read_bytes() == b"a,b,c,d,e\n0.30000000000000004,1e-300,-0.0,inf,7\n"

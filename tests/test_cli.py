@@ -77,6 +77,22 @@ class TestExitCodes:
                      "--evals", "200", f"--seeds={seeds}", "--out", str(out)]) == 1
         assert not out.exists()              # rejected before any seed runs
 
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    @pytest.mark.parametrize("command", [["run", "--config"],
+                                         ["simulate", "--n", "24", "--scenarios"]],
+                             ids=["run_config", "simulate_scenarios"])
+    def test_unreadable_input_file_is_config_error(self, tmp_path, kind, command):
+        path = tmp_path / "input.json"
+        if kind == "directory":
+            path.mkdir()
+        assert main([*command, str(path)]) == 1
+
+    def test_out_naming_a_file_is_runtime_failure(self, tmp_path):
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert main(["simulate", "--scenarios", str(SCENARIOS), "--n", "24",
+                     "--out", str(out)]) == 2
+
     @pytest.mark.parametrize("content", [
         {"seeds": 5},
         {"m": [3]},

@@ -9,6 +9,7 @@ from scipy.spatial import distance
 
 import refadapt.metrics as metrics_mod
 from refadapt.metrics import Trajectory, confidence_trajectory, igd, stability
+from refadapt.runner import ExperimentResult, _write_outputs
 
 from oracles import igd_oracle, igd_oracle_cdist
 
@@ -311,12 +312,12 @@ class TestTrajectory:
 
     def test_csv_roundtrip_columns(self, tmp_path):
         traj = Trajectory(np.array([10, 20]), np.array([1.0, 0.5]),
-                          np.array([0.9, 0.4]), np.array([1.1, 0.6]))
-        path = tmp_path / "trajectory.csv"
-        traj.to_csv(path)
-        lines = path.read_text().splitlines()
+                          np.array([0.9, 0.4]), np.array([1.1, 1 / 1.5]))
+        _write_outputs(tmp_path, ExperimentResult(None, [], traj, {}))
+        lines = (tmp_path / "trajectory.csv").read_text().splitlines()
         assert lines[0] == "eval_count,mean,lower,upper"
         assert lines[1] == "10,1.0,0.9,1.1"
+        assert float(lines[2].split(",")[3]) == 1 / 1.5
 
 
 class TestConfidence:

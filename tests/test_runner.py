@@ -60,7 +60,7 @@ class TestRun:
         assert np.array_equal(a.final_objectives, b.final_objectives)
         assert np.array_equal(a.final_solutions, b.final_solutions)
         assert np.array_equal(a.igd_values, b.igd_values)
-        assert [e.to_dict() for e in a.events] == [e.to_dict() for e in b.events]
+        assert a.events == b.events
 
     def test_generation_accounting(self):
         cfg = RunConfig(problem="dtlz2", **SMALL)

@@ -7,9 +7,11 @@ import pytest
 
 import refadapt.adaptation as adaptation_mod
 from refadapt.adaptation import AdaptationParams
+from refadapt.cli import _similarity_table
 from refadapt.core import associate, nondominated_split
 import refadapt.reference as reference_mod
 from refadapt.reference import MAX_ASSOCIATION_PAIRS, ReferenceArchive, simplex_lattice
+from refadapt.runner import write_csv
 import refadapt.simulate as simulate_mod
 from refadapt.simulate import (
     ACTIVE_SET_MEMO_SIZE,
@@ -405,7 +407,7 @@ class TestLayerReuse:
             for sc, archive in zip(scenarios + scenarios, archives):
                 if clear:
                     reference_mod._stack.cache_clear()
-                out.append(run_scenario(sc, archive, PARAMS).to_dict())
+                out.append(run_scenario(sc, archive, PARAMS))
             return out
 
         built = reports(clear=True)
@@ -548,7 +550,7 @@ class TestPermutations:
     def test_matrix_csv(self, tmp_path):
         report = permutation_similarity(default_scenarios()[:2], PARAMS)
         path = tmp_path / "similarity.csv"
-        report.write_matrix_csv(path)
+        write_csv(path, *_similarity_table(report))
         lines = path.read_text().splitlines()
         assert lines[0] == "scenario,perm_i,perm_j,similarity_pct"
         assert len(lines) == 1 + 2 * 2 * 2
