@@ -77,11 +77,10 @@ def adapt(
     # layer's ``assoc``
     is_active = np.zeros(len(archive.enabled), dtype=bool)
     is_active[stacked[active]] = True
-    n_active = int(is_active.sum())       # repeated indices count once
+    n_active = int(np.count_nonzero(is_active))   # repeated indices count once
     low, high = params.band
 
     kind = "none"
-    active_after = n_active
 
     if n_active < low:
         target_h = 2 * archive.top_h
@@ -112,15 +111,15 @@ def adapt(
         else:
             archive.retire_layer(is_active)
             kind = "expand"
-            # the retired layer's rows ended the stack
-            active_after = int(is_active[:len(archive.enabled)].sum())
 
     directions = archive.participating()[0]
     event = AdaptationEvent(
         kind=kind,
         generation=generation,
         active_before=n_active,
-        active_after=active_after,
+        # the rows still stacked: a shrink only appended rows, an expand
+        # dropped the retired layer's rows from the end
+        active_after=int(np.count_nonzero(is_active[:len(archive.enabled)])),
         participating_after=len(directions),
     )
     return directions, event

@@ -135,6 +135,8 @@ def _similarity_table(perm: PermutationReport):
 
 
 def _cmd_simulate(args) -> int:
+    if args.carry_over and not args.permutations:
+        raise ConfigError("--carry-over applies only to --permutations")
     try:
         scenarios = load_scenarios(args.scenarios)
     except OSError as exc:

@@ -26,7 +26,7 @@ import numpy as np
 from .adaptation import AdaptationEvent, AdaptationParams, adapt
 from .core import update_ideal
 from .metrics import Trajectory, confidence_trajectory, igd, stability
-from .problems import ProblemSpec, available_problems, make_problem
+from .problems import ProblemSpec, make_problem
 from .reference import ReferenceArchive
 from .selection import cascade_cluster
 from .variation import VariationParams, make_offspring
@@ -133,7 +133,6 @@ def run(config: RunConfig, seed: int, pf_samples: np.ndarray | None = None) -> R
     n, max_evals = config.n, config.max_evals
     X = init_rng.uniform(spec.lower, spec.upper, (n, spec.d))
     F = spec.evaluate(X)
-    evals = n
     ideal = update_ideal(F)
 
     ref_archive = ReferenceArchive.initialize(config.m, n)
@@ -141,7 +140,7 @@ def run(config: RunConfig, seed: int, pf_samples: np.ndarray | None = None) -> R
     ia_X, ia_F = np.empty((0, spec.d)), np.empty((0, config.m))
 
     # IGD is sampled at sample_points evaluation counts spread over the
-    # budget. Generation g (0 = the initial population) ends at
+    # budget. Generation g (0 = the initial population) ends at ends[g] =
     # min((g + 1) n, max_evals) evaluations and scores the samples due by
     # then; the samples at the budget score the final population instead.
     # The populations of the due generations are kept and scored together
@@ -154,19 +153,15 @@ def run(config: RunConfig, seed: int, pf_samples: np.ndarray | None = None) -> R
 
     scored = [F]                # generation 0 is always due: times[0] = n < max_evals
     events: list[AdaptationEvent] = []
-    generation = 0
     stable = 0                  # generations in a row with the same active set
     last_active = None
 
-    while evals < max_evals:
-        generation += 1
-        n_off = min(n, max_evals - evals)
+    for generation, n_off in enumerate(np.diff(ends).tolist(), 1):
         off_X = make_offspring(
             X, n_off, config.variation, spec.lower, spec.upper,
             mating_rng, crossover_rng, mutation_rng,
         )
         off_F = spec.evaluate(off_X)
-        evals += n_off
         ideal = update_ideal(off_F, ideal)
 
         pool_X = np.vstack([X, off_X, ia_X])
@@ -195,7 +190,7 @@ def run(config: RunConfig, seed: int, pf_samples: np.ndarray | None = None) -> R
     igd_values = igd(pf_samples, np.stack(scored))[np.searchsorted(due, scorer)]
 
     wall = time.perf_counter() - t0
-    log.info("seed %d finished in %.2fs (%d generations)", seed, wall, generation)
+    log.info("seed %d finished in %.2fs (%d generations)", seed, wall, len(ends) - 1)
     return RunRecord(
         seed=seed,
         sample_times=np.rint(times).astype(int),
@@ -242,7 +237,6 @@ def render_json(obj, indent: int | None = None) -> str:
 
 
 def _write_outputs(out_dir: Path, result: ExperimentResult) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
     traj = result.trajectory
     write_csv(out_dir / "trajectory.csv", ("eval_count", "mean", "lower", "upper"),
               zip(*(a.tolist() for a in (traj.sample_times, traj.mean, traj.lower, traj.upper))))
@@ -259,22 +253,6 @@ def _write_outputs(out_dir: Path, result: ExperimentResult) -> None:
             "".join(render_json(event) + "\n" for event in record.events), encoding="utf-8")
 
 
-def _flag_abort(out_dir: str | None, config: RunConfig, failed_seed: int,
-                completed: list[int], error: Exception) -> None:
-    if out_dir is None:
-        return
-    path = Path(out_dir)
-    path.mkdir(parents=True, exist_ok=True)
-    summary = {
-        "status": "aborted",
-        "problem": config.problem,
-        "failed_seed": failed_seed,
-        "completed_seeds": completed,
-        "error": str(error),
-    }
-    (path / "summary.json").write_text(render_json(summary, indent=2), encoding="utf-8")
-
-
 def experiment(config: RunConfig) -> ExperimentResult:
     """Run every seed, aggregate the IGD trajectory, and write outputs.
 
@@ -282,15 +260,21 @@ def experiment(config: RunConfig) -> ExperimentResult:
     summary.json so downstream tooling never mistakes them for results.
     """
     spec = config.validate()
+    out_dir = None if config.out_dir is None else Path(config.out_dir)
+    if out_dir is not None:
+        # before the first seed: a path that cannot be a directory fails now
+        out_dir.mkdir(parents=True, exist_ok=True)
     pf_samples = spec.sample_true_pf(config.igd_samples)
     records: list[RunRecord] = []
     for seed in config.seeds:
         try:
             records.append(run(config, seed, pf_samples))
-        except ConfigError:
-            raise
         except Exception as exc:
-            _flag_abort(config.out_dir, config, seed, [r.seed for r in records], exc)
+            if out_dir is not None:
+                aborted = {"status": "aborted", "problem": config.problem, "failed_seed": seed,
+                           "completed_seeds": [r.seed for r in records], "error": str(exc)}
+                (out_dir / "summary.json").write_text(render_json(aborted, indent=2),
+                                                      encoding="utf-8")
             raise RuntimeError(f"seed {seed} failed: {exc}") from exc
 
     igd_matrix = np.vstack([r.igd_values for r in records])
@@ -323,20 +307,6 @@ def experiment(config: RunConfig) -> ExperimentResult:
         "adaptation_events": event_counts,
     }
     result = ExperimentResult(config=config, records=records, trajectory=trajectory, summary=summary)
-    if config.out_dir is not None:
-        _write_outputs(Path(config.out_dir), result)
+    if out_dir is not None:
+        _write_outputs(out_dir, result)
     return result
-
-
-__all__ = [
-    "ConfigError",
-    "RunConfig",
-    "RunRecord",
-    "ExperimentResult",
-    "run",
-    "experiment",
-    "maintain",
-    "write_csv",
-    "render_json",
-    "available_problems",
-]

@@ -93,6 +93,19 @@ class TestExitCodes:
         assert main(["simulate", "--scenarios", str(SCENARIOS), "--n", "24",
                      "--out", str(out)]) == 2
 
+    def test_run_out_naming_a_file_fails_before_any_seed(self, tmp_path, monkeypatch):
+        out = tmp_path / "taken"
+        out.write_text("")
+        calls = []
+        monkeypatch.setattr("refadapt.runner.run", lambda *args: calls.append(args))
+        assert main(["run", "--problem", "dtlz2", "--m", "3", "--n", "20", "--evals", "200",
+                     "--seeds", "1,2", "--out", str(out)]) == 2
+        assert calls == []
+
+    def test_carry_over_without_permutations_is_config_error(self):
+        assert main(["simulate", "--scenarios", str(SCENARIOS), "--n", "24",
+                     "--carry-over"]) == 1
+
     @pytest.mark.parametrize("content", [
         {"seeds": 5},
         {"m": [3]},
