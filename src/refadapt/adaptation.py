@@ -67,10 +67,12 @@ def adapt(
     mutated in place; the return value is the resulting participating
     direction matrix together with an event record. When the active count
     already sits inside the tolerance band, or a guard forbids the
-    requested subroutine, nothing changes and the event kind is "none".
+    requested subroutine, nothing changes, the event kind is "none" and
+    the directions are the ones read on entry. An archive with nothing
+    enabled raises ``ValueError`` before any change.
     """
     active = np.asarray(active, dtype=np.int64)
-    stacked = np.flatnonzero(archive.enabled)
+    directions, stacked = archive.participating()
     if len(active) and (active.min() < 0 or active.max() >= len(stacked)):
         raise ValueError("active indices outside the participating set")
     # activity over the stacked live layers, the index space of a new
@@ -112,7 +114,8 @@ def adapt(
             archive.retire_layer(is_active)
             kind = "expand"
 
-    directions = archive.participating()[0]
+    if kind != "none":
+        directions = archive.participating()[0]
     event = AdaptationEvent(
         kind=kind,
         generation=generation,

@@ -313,29 +313,41 @@ def enabled_point_keys(archive: ReferenceArchive) -> np.ndarray:
     sets of indices intersect and unite exactly as the directions' rational
     keys (coordinates over the density, reduced by their gcd) would.
     """
-    return np.flatnonzero(archive.enabled)
+    return archive.enabled.nonzero()[0]
 
 
 def similarity_matrix(sets) -> np.ndarray:
     """Percentage of identically enabled points of every ordered pair of key sets.
 
     ``sets`` holds 1-D integer arrays of distinct keys. Entry (a, b) is
-    ``100.0 * |A & B| / |A | B|``, or 100.0 when both sets are empty. The
-    keys are numbered by one ``np.unique``, and the intersection sizes are
-    the product of a 0/1 (sets x keys) membership matrix with its
-    transpose; the counts are exact, so every entry has the bits of the
-    same formula evaluated on Python integers.
+    ``100.0 * |A & B| / |A | B|``, or 100.0 when both sets are empty. An
+    entry depends on its two sets alone, so it is computed once per pair
+    of distinct sets (by their int64 bytes; a study's 24 snapshots of one
+    scenario usually hold one) and the full matrix is gathered from those
+    by index. The keys are numbered by one ``np.unique``, and the
+    intersection sizes are the product of a 0/1 (sets x keys) membership
+    matrix with its transpose; the counts are exact, so every entry has
+    the bits of the same formula evaluated on Python integers.
     """
-    keys, column = np.unique(np.concatenate([np.empty(0, dtype=np.int64), *sets]),
+    row: dict[bytes, int] = {}
+    distinct, pick = [], []
+    for s in sets:
+        s = np.asarray(s, dtype=np.int64)
+        i = row.setdefault(s.tobytes(), len(row))
+        if i == len(distinct):
+            distinct.append(s)
+        pick.append(i)
+    keys, column = np.unique(np.concatenate([np.empty(0, dtype=np.int64), *distinct]),
                              return_inverse=True)
-    B = np.zeros((len(sets), len(keys)))
-    B[np.repeat(np.arange(len(sets)), [len(s) for s in sets]), column] = 1.0
+    B = np.zeros((len(distinct), len(keys)))
+    B[np.repeat(np.arange(len(distinct)), [len(s) for s in distinct]), column] = 1.0
     inter = B @ B.T
     sizes = B.sum(axis=1)
     union = sizes[:, None] + sizes[None, :] - inter
     mat = np.full(inter.shape, 100.0)
     np.divide(100.0 * inter, union, out=mat, where=union > 0)
-    return mat
+    pick = np.array(pick, dtype=np.intp)
+    return mat.take(pick, axis=0).take(pick, axis=1)
 
 
 @dataclass
@@ -372,9 +384,8 @@ def permutation_similarity(
     snapshots: dict[int, list[np.ndarray]] = {i: [] for i in range(k)}
     non_converged = 0
     for perm in perms:
-        archive = ReferenceArchive.initialize(2, params.n)
-        for idx in perm:
-            if not carry_over:
+        for step, idx in enumerate(perm):
+            if step == 0 or not carry_over:
                 archive = ReferenceArchive.initialize(2, params.n)
             report = run_scenario(scenarios[idx], archive, params)
             if not report.converged:

@@ -174,6 +174,45 @@ class Testband:
         assert events[1].kind == "shrink" and events[1].active_before == 1
 
 
+class TestNoneEvent:
+    """On "none" the archive is untouched and the directions are its
+    participating set."""
+
+    @pytest.mark.parametrize("path, logged", [
+        ("band", ""), ("density_cap", "density cap reached"),
+        ("pair_guard", "would associate"), ("base_only_expand", "only the base layer live"),
+    ])
+    def test_returns_the_participating_directions(self, path, logged, monkeypatch, caplog):
+        arch = base_archive(n=5)               # H=4, five vectors, band [4, 6]
+        active, params = [0], AdaptationParams(n=5, theta=0.2)
+        if path == "band":
+            active = [0, 1, 2, 3]
+        elif path == "density_cap":
+            monkeypatch.setattr(adaptation_mod, "DENSITY_CAP_FACTOR", 1)
+        elif path == "pair_guard":
+            monkeypatch.setattr(adaptation_mod, "MAX_ASSOCIATION_PAIRS", 0)
+        else:
+            active, params = [0, 1, 2, 3, 4], AdaptationParams(n=3, theta=0.1)
+        enabled = arch.enabled
+        before = enabled.tobytes()
+        with caplog.at_level("DEBUG", logger="refadapt.adaptation"):
+            directions, event = adapt(arch, active, params)
+        assert event.kind == "none"
+        assert logged in caplog.text if logged else not caplog.records
+        assert arch.enabled is enabled and enabled.tobytes() == before
+        want = arch.participating()[0]
+        assert directions.shape == want.shape and directions.tobytes() == want.tobytes()
+
+    def test_nothing_enabled_raises_before_any_change(self):
+        arch = base_archive(n=5)
+        arch.enabled[:] = False
+        enabled = arch.enabled
+        with pytest.raises(ValueError, match="empty"):
+            adaptation_mod.adapt(arch, [], AdaptationParams(n=5, theta=0.2))
+        assert arch.top_h == arch.base_h == 4
+        assert arch.enabled is enabled and enabled.tobytes() == bytes(5)
+
+
 class TestExpand:
     def _shrunk_archive(self):
         arch = base_archive(n=5)

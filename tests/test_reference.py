@@ -236,3 +236,29 @@ class TestArchive:
         assert set(layer) == {"H", "coords", "enabled"}
         assert layer["H"] == 4
         assert len(layer["coords"]) == len(layer["enabled"]) == 5
+
+
+class TestLayerBoundary:
+    """``add_layer`` and ``retire_layer`` refuse bad requests and leave the
+    archive as it was."""
+
+    def assert_refused(self, arch, method, flags):
+        top_h, enabled = arch.top_h, arch.enabled.copy()
+        with pytest.raises(ValueError):
+            method(flags)
+        assert arch.top_h == top_h
+        assert arch.enabled.shape == enabled.shape and np.array_equal(arch.enabled, enabled)
+
+    def test_base_layer_never_retired(self):
+        # before the guard, M=2 N=48 (base H=47) retired to H=23, below the base
+        arch = ReferenceArchive.initialize(2, 48)
+        assert arch.top_h == arch.base_h == 47
+        self.assert_refused(arch, arch.retire_layer, np.ones(len(arch.enabled), dtype=bool))
+        assert len(arch.participating()[1]) == 48
+
+    @pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
+    @pytest.mark.parametrize("method", ["add_layer", "retire_layer"])
+    def test_flags_must_cover_the_stored_vectors(self, method, extra):
+        arch = grow(ReferenceArchive.initialize(3, 10))
+        flags = np.ones(len(arch.enabled) + extra, dtype=bool)
+        self.assert_refused(arch, getattr(arch, method), flags)

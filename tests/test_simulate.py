@@ -506,6 +506,24 @@ class TestSimilarityMatrix:
             assert got.shape == want.shape
             assert np.array_equal(got, want)
 
+    def test_repeated_snapshots_as_in_a_study(self):
+        # a study's 24 snapshots per scenario hold 1-3 distinct sets; the
+        # matrix is built from the distinct ones and gathered by index
+        rng = np.random.default_rng(11)
+        universe = np.arange(0, 800, 2)
+        for distinct in (1, 2, 3):
+            pool = [keys()] + [np.sort(rng.choice(universe, int(rng.integers(1, 400)),
+                                                  replace=False))
+                               for _ in range(distinct - 1)]
+            sets = [pool[i] for i in rng.integers(0, distinct, 24)]
+            wide = np.repeat(pool[-1], 2)
+            sets += [pool[-1].astype(np.int32), wide[::2]]
+            assert len(pool[-1]) < 2 or not wide[::2].flags.c_contiguous
+            got = similarity_matrix(sets)
+            want = similarity_matrix_oracle([frozenset(s.tolist()) for s in sets])
+            assert got.shape == want.shape == (26, 26)
+            assert np.array_equal(got, want)
+
     def test_study_matrices_equal_pairwise_loop(self, monkeypatch):
         snapshots = []
         real = simulate_mod.enabled_point_keys
